@@ -44,7 +44,8 @@ class Capacity:
     values is indexed by subset bitmask (so its length is 2**space.size).
     Construction validates the axioms in this order: every value in [0,1],
     empty set 0, monotonicity along covering pairs, whole space 1.  With
-    tol > 0 (float mode) each comparison allows that much slack.
+    tol > 0 (float mode) the last three comparisons allow that much slack;
+    the range check has none in either mode.
     """
 
     __slots__ = ("space", "values")
@@ -63,7 +64,7 @@ class Capacity:
                 f"need {1 << space.size} subset values, got {len(values)}"
             )
         for m, v in enumerate(values):
-            if not -tol <= v <= 1 + tol:
+            if not 0 <= v <= 1:
                 raise CapacityError(
                     f"value {v!r} of subset {space.members(m)!r} is outside [0,1]"
                 )
@@ -140,7 +141,7 @@ class PossibilityCapacity:
                 f"need {space.size} density values, got {len(density)}"
             )
         for name, v in zip(space.labels, density):
-            if not -tol <= v <= 1 + tol:
+            if not 0 <= v <= 1:
                 raise CapacityError(
                     f"density of {name!r} is {v!r}, outside [0,1]"
                 )
@@ -300,18 +301,9 @@ def least_capacity(space) -> NecessityCapacity:
     return greatest_capacity(space).dual()
 
 
-def is_possibility(cap, tol=0) -> bool:
-    """Exhaustively test the max-union law v(A u B) = max(v(A), v(B)).
-
-    Density-backed possibility capacities satisfy the law by construction and
-    return True immediately; anything else is checked over all subset pairs,
-    which costs O(4^n) evaluations.
-    """
-    if isinstance(cap, PossibilityCapacity):
-        return True
-    subsets = cap.space.subsets()
-    vals = [cap.value(m) for m in subsets]
-    for a in subsets:
+def _max_union_holds(vals, tol) -> bool:
+    """The max-union law over all subset pairs of a table indexed by mask."""
+    for a in range(len(vals)):
         va = vals[a]
         for b in range(a, len(vals)):
             lhs = vals[a | b]
@@ -321,20 +313,31 @@ def is_possibility(cap, tol=0) -> bool:
     return True
 
 
+def is_possibility(cap, tol=0) -> bool:
+    """Exhaustively test the max-union law v(A u B) = max(v(A), v(B)).
+
+    Density-backed possibility capacities satisfy the law by construction and
+    return True immediately; anything else is checked over all subset pairs,
+    which costs O(4^n) evaluations.
+    """
+    if isinstance(cap, PossibilityCapacity):
+        return True
+    return _max_union_holds([cap.value(m) for m in cap.space.subsets()], tol)
+
+
 def is_necessity(cap, tol=0) -> bool:
-    """Exhaustively test the min-intersection law v(A n B) = min(v(A), v(B))."""
+    """Exhaustively test the min-intersection law v(A n B) = min(v(A), v(B)).
+
+    The law holds exactly when m -> -v(complement of m) obeys the max-union
+    law, so one sweep serves both tests.  Negation and complement are exact,
+    unlike 1 - v in float mode, so the verdict is bit-identical.
+    """
     if isinstance(cap, NecessityCapacity):
         return True
-    subsets = cap.space.subsets()
-    vals = [cap.value(m) for m in subsets]
-    for a in subsets:
-        va = vals[a]
-        for b in range(a, len(vals)):
-            lhs = vals[a & b]
-            rhs = va if va <= vals[b] else vals[b]
-            if abs(lhs - rhs) > tol:
-                return False
-    return True
+    full = cap.space.full_mask
+    return _max_union_holds(
+        [-cap.value(full ^ m) for m in cap.space.subsets()], tol
+    )
 
 
 def lattice_join(a, b, tol=0):

@@ -17,6 +17,7 @@ from .fileio import (
     load_capacity,
     load_function,
     load_game,
+    numeric_tolerance,
     save_json,
 )
 from .games import (
@@ -28,7 +29,7 @@ from .games import (
     verify_equilibrium,
 )
 from .integrals import FuzzyFunction, tnormed_integral
-from .tensors import tensor_density, tensor_general
+from .tensors import tensor_n
 from .tnorms import tnorm
 from .worked_examples import reference_report
 
@@ -156,10 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tol(numeric: str) -> float:
-    return 1e-9 if numeric == "float" else 0
-
-
 def _cmd_integrate(args) -> int:
     star = tnorm(args.tnorm)
     cap = load_capacity(args.capacity, args.numeric)
@@ -202,26 +199,21 @@ def _cmd_tensor(args) -> int:
     if len(caps) < 2:
         print("error: tensor needs at least two capacities", file=sys.stderr)
         return 2
-    all_poss = all(isinstance(c, PossibilityCapacity) for c in caps)
-    form = args.form
-    if form == "auto":
-        form = "density" if all_poss else "general"
-    if form == "density":
-        if not all_poss:
-            print(
-                "error: density form needs possibility capacities; "
-                "use --form general",
-                file=sys.stderr,
-            )
-            return 2
-        result = caps[0]
-        for nxt in caps[1:]:
-            result = tensor_density(result, nxt, ast)
-    else:
-        result = caps[0]
-        for nxt in caps[1:]:
-            result = tensor_general(result, nxt, ast, tol=_tol(args.numeric))
-    doc = dump_capacity(result)
+    tol = numeric_tolerance(args.numeric)
+    if args.form == "density" and not all(
+        isinstance(c, PossibilityCapacity) for c in caps
+    ):
+        print(
+            "error: density form needs possibility capacities; "
+            "use --form general",
+            file=sys.stderr,
+        )
+        return 2
+    if args.form == "general":
+        caps = [c.as_general(tol) for c in caps]
+    # tensor_n takes the density route exactly when every factor is a
+    # possibility capacity, which is what --form auto asks for
+    doc = dump_capacity(tensor_n(caps, ast, tol=tol))
     if args.out:
         save_json(doc, args.out)
         print(f"wrote {args.out}")
@@ -238,7 +230,9 @@ def _cmd_best_response(args) -> int:
     i = args.player - 1
     game.check_player(i)
     belief = load_capacity(args.belief, args.numeric)
-    responses = best_response(game, i, belief, star, tol=_tol(args.numeric))
+    responses = best_response(
+        game, i, belief, star, tol=numeric_tolerance(args.numeric)
+    )
     if args.format == "json":
         print(json.dumps({"player": args.player, "best_responses": list(responses)}))
     else:
@@ -269,7 +263,9 @@ def _cmd_verify(args) -> int:
     star = tnorm(args.payoff_tnorm)
     game = load_game(args.game, args.numeric)
     beliefs = [load_capacity(p, args.numeric) for p in args.beliefs]
-    cert = verify_equilibrium(game, beliefs, star, tol=_tol(args.numeric))
+    cert = verify_equilibrium(
+        game, beliefs, star, tol=numeric_tolerance(args.numeric)
+    )
     if args.format == "json":
         print(json.dumps(_certificate_doc(cert)))
     else:
@@ -279,19 +275,8 @@ def _cmd_verify(args) -> int:
 
 def _profile_doc(profile) -> list:
     return [
-        {
-            "kind": cap.kind,
-            "density": {
-                name: format_value(v)
-                for name, v in zip(
-                    cap.space.labels,
-                    cap.density
-                    if isinstance(cap, PossibilityCapacity)
-                    else cap.conjugate.density,
-                )
-            },
-        }
-        for cap in profile
+        {"kind": doc["kind"], "density": doc["density"]}
+        for doc in map(dump_capacity, profile)
     ]
 
 
@@ -305,7 +290,7 @@ def _cmd_search(args) -> int:
         ast,
         mode=args.mode,
         budget=args.budget,
-        tol=_tol(args.numeric),
+        tol=numeric_tolerance(args.numeric),
     )
     if args.format == "json":
         print(
@@ -332,19 +317,9 @@ def _cmd_search(args) -> int:
         print(f"{len(found)} equilibrium profile(s), mode {args.mode}")
         for k, (profile, cert) in enumerate(found, 1):
             parts = []
-            for cap in profile:
-                dens = (
-                    cap.density
-                    if isinstance(cap, PossibilityCapacity)
-                    else cap.conjugate.density
-                )
-                tag = "" if isinstance(cap, PossibilityCapacity) else "dual "
-                parts.append(
-                    tag
-                    + "("
-                    + ",".join(format_value(v) for v in dens)
-                    + ")"
-                )
+            for doc in _profile_doc(profile):
+                tag = "dual " if doc["kind"] == "necessity" else ""
+                parts.append(tag + "(" + ",".join(doc["density"].values()) + ")")
             print(f"  {k}. " + " x ".join(parts))
     return 0 if found else 1
 
@@ -355,7 +330,9 @@ def _cmd_nash_verify(args) -> int:
     game = load_game(args.game, args.numeric)
     caps = [load_capacity(p, args.numeric) for p in args.profile]
     profile = StrategyProfile(game, caps)
-    report = verify_capacity_nash(game, profile, star, ast, tol=_tol(args.numeric))
+    report = verify_capacity_nash(
+        game, profile, star, ast, tol=numeric_tolerance(args.numeric)
+    )
     if args.format == "json":
         print(
             json.dumps(

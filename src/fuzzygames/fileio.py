@@ -18,10 +18,11 @@ capacity.  Game files:
     {"players": 2, "strategies": [["a", "b"], ["a", "b"]],
      "payoffs": [{"a,a": "1/2", ...}, {...}]}
 
-Payoff keys join one strategy label per player with commas, players in
-order.  Function files mirror the possibility shape with "values" instead of
-a density.  Points of product spaces are labeled by joining coordinates with
-"|", for example "a|b".
+"strategies" holds one list of label strings per player.  Payoff keys join
+one strategy label per player with commas, players in order.  Function files
+mirror the possibility shape with "values" instead of a density.  Points of
+product spaces are labeled by joining coordinates with "|", for example
+"a|b"; labels that contain "|" may collide there, which is an error.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from pathlib import Path
 
 from .spaces import FiniteSpace
 from .capacities import (
-    Capacity,
     NecessityCapacity,
     PossibilityCapacity,
+    make_capacity,
+    possibility_from_density,
 )
 from .integrals import FuzzyFunction
 from .games import Game
@@ -84,12 +86,11 @@ def _as_document(source, what: str) -> dict:
     return doc
 
 
-def _space_from(doc: dict, what: str) -> FiniteSpace:
-    labels = doc.get("space")
+def _space_from(labels, what: str) -> FiniteSpace:
     if not isinstance(labels, list) or not all(
         isinstance(x, str) for x in labels
     ):
-        raise ValueError(f"{what}: 'space' must be a list of labels")
+        raise ValueError(f"{what} must be a list of labels")
     return FiniteSpace(labels)
 
 
@@ -97,7 +98,8 @@ def _maybe_float(v, numeric: str):
     return float(v) if numeric == "float" else v
 
 
-def _check_numeric(numeric: str) -> float:
+def numeric_tolerance(numeric: str) -> float:
+    """Comparison slack of a numeric mode: 0 for rational, 1e-9 for float."""
     if numeric not in ("rational", "float"):
         raise ValueError(f"numeric mode must be rational or float, not {numeric!r}")
     return 1e-9 if numeric == "float" else 0
@@ -105,92 +107,66 @@ def _check_numeric(numeric: str) -> float:
 
 def load_capacity(source, numeric: str = "rational"):
     """Read a capacity of any kind from a path or a parsed JSON object."""
-    tol = _check_numeric(numeric)
+    tol = numeric_tolerance(numeric)
     doc = _as_document(source, "capacity")
     kind = doc.get("kind")
-    space = _space_from(doc, "capacity")
+    space = _space_from(doc.get("space"), "capacity: 'space'")
     if kind in ("possibility", "necessity"):
         density_doc = doc.get("density")
         if not isinstance(density_doc, dict):
             raise ValueError(f"capacity of kind {kind}: 'density' must be an object")
-        unknown = set(density_doc) - set(space.labels)
-        if unknown:
-            raise ValueError(
-                f"capacity density names unknown labels {sorted(unknown)!r}"
-            )
-        density = [
-            _maybe_float(
-                parse_unit(density_doc.get(name, 0), f"density of {name!r}"),
-                numeric,
-            )
-            for name in space.labels
-        ]
-        poss = PossibilityCapacity(space, density, tol=tol)
+        density = {
+            name: _maybe_float(parse_unit(raw, f"density of {name!r}"), numeric)
+            for name, raw in density_doc.items()
+        }
+        poss = possibility_from_density(space, density, tol=tol)
         return poss.dual() if kind == "necessity" else poss
     if kind == "general":
         values_doc = doc.get("values")
         if not isinstance(values_doc, dict):
             raise ValueError("capacity of kind general: 'values' must be an object")
-        values = [None] * (1 << space.size)
+        table = {}
         for key, raw in values_doc.items():
-            labels = [] if key == "" else key.split(",")
-            mask = space.mask_of(labels)
-            if values[mask] is not None:
-                raise ValueError(f"subset {key!r} given twice")
-            values[mask] = _maybe_float(
+            labels = tuple(key.split(",")) if key else ()
+            table[labels] = _maybe_float(
                 parse_unit(raw, f"value of subset {key!r}"), numeric
             )
-        missing = [m for m, v in enumerate(values) if v is None]
-        if missing:
-            raise ValueError(
-                f"general capacity misses {len(missing)} subsets, first "
-                f"{space.members(missing[0])!r}"
-            )
-        return Capacity(space, values, tol=tol)
+        return make_capacity(space, table, tol=tol)
     raise ValueError(
         f"capacity kind must be possibility, necessity or general, not {kind!r}"
     )
 
 
 def dump_capacity(cap) -> dict:
-    """Serialize a capacity to its JSON object form."""
-    if isinstance(cap, PossibilityCapacity):
-        return {
-            "space": list(cap.space.labels),
-            "kind": "possibility",
-            "density": {
-                name: format_value(v)
-                for name, v in zip(cap.space.labels, cap.density)
-            },
+    """Serialize a capacity to its JSON object form.
+
+    A necessity capacity is written as its kind plus its conjugate's density.
+    """
+    doc = {"space": list(cap.space.labels), "kind": cap.kind}
+    if isinstance(cap, (PossibilityCapacity, NecessityCapacity)):
+        poss = cap.dual() if isinstance(cap, NecessityCapacity) else cap
+        doc["density"] = {
+            name: format_value(v) for name, v in zip(cap.space.labels, poss.density)
         }
-    if isinstance(cap, NecessityCapacity):
-        conj = cap.conjugate
-        return {
-            "space": list(cap.space.labels),
-            "kind": "necessity",
-            "density": {
-                name: format_value(v)
-                for name, v in zip(conj.space.labels, conj.density)
-            },
-        }
-    return {
-        "space": list(cap.space.labels),
-        "kind": "general",
-        "values": {
+    else:
+        doc["values"] = {
             ",".join(cap.space.members(m)): format_value(cap.value(m))
             for m in cap.space.subsets()
-        },
-    }
+        }
+    return doc
 
 
 def load_game(source, numeric: str = "rational") -> Game:
     """Read a game from a path or a parsed JSON object."""
-    tol = _check_numeric(numeric)
+    tol = numeric_tolerance(numeric)
     doc = _as_document(source, "game")
     strategies = doc.get("strategies")
     if not isinstance(strategies, list) or not strategies:
         raise ValueError("game: 'strategies' must be a list of label lists")
-    spaces = [FiniteSpace(labels) for labels in strategies]
+    spaces = [
+        _space_from(labels, f"game: strategies[{i}]")
+        for i, labels in enumerate(strategies)
+    ]
     players = doc.get("players", len(spaces))
     if players != len(spaces):
         raise ValueError(
@@ -235,9 +211,9 @@ def dump_game(game: Game) -> dict:
 
 def load_function(source, numeric: str = "rational") -> FuzzyFunction:
     """Read a pointwise [0,1] function from a path or parsed JSON object."""
-    _check_numeric(numeric)
+    numeric_tolerance(numeric)
     doc = _as_document(source, "function")
-    space = _space_from(doc, "function")
+    space = _space_from(doc.get("space"), "function: 'space'")
     values_doc = doc.get("values")
     if not isinstance(values_doc, dict):
         raise ValueError("function: 'values' must be an object")

@@ -58,7 +58,9 @@ class Game:
 
     strategy_spaces: one FiniteSpace per player.
     payoffs: per player, either a mapping from label tuples to values or a
-    flat sequence over the strategy product in row-major order.
+    flat sequence over the strategy product in row-major order.  Every payoff
+    must lie in [0,1] in both numeric modes; tol is accepted for symmetry
+    with the capacity constructors and loosens nothing here.
     """
 
     __slots__ = ("spaces", "payoffs", "product", "_opponents", "_slices")
@@ -110,7 +112,7 @@ class Game:
                         f"got {len(table)}"
                     )
             for idx, v in enumerate(table):
-                if not -tol <= v <= 1 + tol:
+                if not 0 <= v <= 1:
                     raise ValueError(
                         f"payoff of player {i} at "
                         f"{prod.space.labels[idx]!r} is {v!r}, outside [0,1]"

@@ -103,10 +103,20 @@ class ProductSpace:
         if len(factors) == 1:
             flat = factors[0]
         else:
-            flat = FiniteSpace(
+            labels = [
                 "|".join(combo)
                 for combo in _iterproduct(*(f.labels for f in factors))
-            )
+            ]
+            try:
+                flat = FiniteSpace(labels)
+            except ValueError:
+                # factor labels are valid, so only a repeated joined label fails
+                clash = next(x for k, x in enumerate(labels) if x in labels[:k])
+                raise ValueError(
+                    f"product label {clash!r} arises from two coordinate "
+                    "tuples: '|' joins coordinate labels, so labels containing "
+                    "'|' can collide"
+                ) from None
         object.__setattr__(self, "space", flat)
 
     def __setattr__(self, name, value):

@@ -14,6 +14,8 @@ ast = min the general route reduces to max{t : mu1({v >= t}) >= t}.
 
 from __future__ import annotations
 
+from itertools import product as _iterproduct
+
 from .spaces import ProductSpace, GENERAL_TABLE_MAX_ELEMENTS
 from .tnorms import TNorm
 from .capacities import Capacity, PossibilityCapacity
@@ -21,14 +23,15 @@ from .integrals import _level_maximum
 
 
 def tensor_density(mu1: PossibilityCapacity, mu2: PossibilityCapacity, ast: TNorm):
-    """Density-form product of two possibility capacities."""
+    """Density-form product of two possibility capacities.
+
+    This is the two-factor case of tensor_n, which holds the one density fold.
+    """
     if not isinstance(mu1, PossibilityCapacity) or not isinstance(
         mu2, PossibilityCapacity
     ):
         raise ValueError("tensor_density needs possibility capacities")
-    prod = ProductSpace([mu1.space, mu2.space])
-    density = [ast(a, b) for a in mu1.density for b in mu2.density]
-    return PossibilityCapacity(prod.space, density)
+    return tensor_n([mu1, mu2], ast)
 
 
 def tensor_general(mu1, mu2, ast: TNorm, tol=0) -> Capacity:
@@ -69,11 +72,10 @@ def tensor_n(caps, ast: TNorm, tol=0):
     if all(isinstance(c, PossibilityCapacity) for c in caps):
         prod = ProductSpace([c.space for c in caps])
         density = []
-        for flat in range(prod.size):
-            coords = prod.coords_of(flat)
-            acc = caps[0].density[coords[0]]
-            for c, k in zip(caps[1:], coords[1:]):
-                acc = ast(acc, c.density[k])
+        for point in _iterproduct(*(c.density for c in caps)):
+            acc = point[0]
+            for d in point[1:]:
+                acc = ast(acc, d)
             density.append(acc)
         return PossibilityCapacity(prod.space, density, tol=tol)
     acc = caps[0]

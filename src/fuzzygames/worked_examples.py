@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .spaces import FiniteSpace
 from .capacities import PossibilityCapacity, greatest_capacity
+from .fileio import format_value, numeric_tolerance
 from .tnorms import MINIMUM, PRODUCT
 from .games import (
     BeliefProfile,
@@ -82,10 +83,7 @@ def _fmt(v) -> str:
         return "yes" if v else "no"
     if isinstance(v, tuple):
         return "{" + ",".join(v) + "}"
-    if isinstance(v, float):
-        return repr(v)
-    f = Fraction(v)
-    return str(f)
+    return format_value(v)
 
 
 def _row(name, expected, computed, equal) -> CheckRow:
@@ -113,9 +111,7 @@ def reference_report(
     binary floats and compares within 1e-9.  The game/belief arguments exist
     so tests can inject corrupted fixtures; leave them None for the real ones.
     """
-    if numeric not in ("rational", "float"):
-        raise ValueError(f"numeric mode must be rational or float, not {numeric!r}")
-    tol = 1e-9 if numeric == "float" else 0
+    tol = numeric_tolerance(numeric)
 
     g1 = game_one if game_one is not None else example_game_one()
     b1 = belief_one if belief_one is not None else example_belief_one()

@@ -110,6 +110,20 @@ def grid_integral(f: FuzzyFunction, mu, star, resolution: int = 1000):
     return best
 
 
+def min_intersection_law(cap, tol=0) -> bool:
+    """Direct sweep of v(A n B) = min(v(A), v(B)) over all subset pairs."""
+    subsets = cap.space.subsets()
+    vals = [cap.value(m) for m in subsets]
+    for a in subsets:
+        va = vals[a]
+        for b in range(a, len(vals)):
+            lhs = vals[a & b]
+            rhs = va if va <= vals[b] else vals[b]
+            if abs(lhs - rhs) > tol:
+                return False
+    return True
+
+
 def fold_density(densities, ast):
     acc = densities[0]
     for d in densities[1:]:

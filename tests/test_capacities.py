@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,12 @@ from fuzzygames import (
     possibility_from_density,
     same_capacity,
 )
-from conftest import random_capacity, random_possibility, random_space
+from conftest import (
+    min_intersection_law,
+    random_capacity,
+    random_possibility,
+    random_space,
+)
 
 H = Fraction(1, 2)
 AB = FiniteSpace(("a", "b"))
@@ -92,6 +98,16 @@ class TestConstruction:
         assert cap.value(1) == 0.5
         with pytest.raises(CapacityError):
             Capacity(AB, [0.0, 0.5, 0.25, 0.49], tol=1e-9)
+
+    def test_float_range_has_no_slack(self):
+        # tol loosens the axioms, never the [0,1] range that t-norms require
+        with pytest.raises(CapacityError, match="outside"):
+            PossibilityCapacity(AB, (1 + 5e-10, 0.5), tol=1e-9)
+        with pytest.raises(CapacityError, match="outside"):
+            Capacity(AB, [-5e-10, 0.5, 0.5, 1.0], tol=1e-9)
+        # the max-density and whole-space comparisons keep their slack
+        PossibilityCapacity(AB, (1 - 5e-10, 0.5), tol=1e-9)
+        Capacity(AB, [0.0, 0.5, 0.5, 1 - 5e-10], tol=1e-9)
 
     def test_immutable(self):
         cap = greatest_capacity(AB)
@@ -359,3 +375,30 @@ def test_fuzzed_monotonicity_violations_are_caught(data):
     values[mask] = values[mask | bit] + Fraction(1, 97)
     with pytest.raises(CapacityError):
         Capacity(space, values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_necessity_sweep_matches_min_intersection_oracle(seed):
+    """is_necessity agrees with a direct min-intersection sweep.
+
+    Tables cover random capacities, their duals and tabled necessities, in
+    exact arithmetic and as floats nudged by +-1e-10 under both tolerances.
+    A 1e-17 nudge survives only next to 0, where 1 - v would round it away.
+    """
+    rng = random.Random(seed)
+    space = random_space(rng, max_size=4)
+    tables = [
+        random_capacity(space, rng),
+        random_capacity(space, rng).dual(),
+        random_possibility(space, rng).dual().as_general(),
+    ]
+    for table in tables:
+        assert is_necessity(table) == min_intersection_law(table)
+        nudged = [
+            min(1.0, max(0.0, float(v) + rng.choice((-1e-10, 0.0, 1e-10, 1e-17))))
+            for v in table.values
+        ]
+        floats = Capacity(space, nudged, tol=1e-9)
+        for tol in (0, 1e-9):
+            assert is_necessity(floats, tol) == min_intersection_law(floats, tol)

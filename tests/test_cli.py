@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,39 @@ class TestTensor:
         assert cap.density == (
             Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2),
         )
+
+    def test_three_factor_fold_in_both_forms(self, files, capsys):
+        caps = [files["belief1"], files["belief1"], files["top"]]
+        code = main(
+            ["tensor", "--capacities", *caps, "--tnorm", "prod", "--format", "json"]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kind"] == "possibility"
+        density = {
+            f"{x}|{y}|{z}": Fraction(dx) * Fraction(dy)
+            for x, dx in (("a", 1), ("b", "1/2"))
+            for y, dy in (("a", 1), ("b", "1/2"))
+            for z in "ab"
+        }
+        assert {k: Fraction(v) for k, v in doc["density"].items()} == density
+        code = main(
+            [
+                "tensor",
+                "--capacities", *caps,
+                "--tnorm", "prod",
+                "--form", "general",
+                "--format", "json",
+            ]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kind"] == "general"
+        assert len(doc["values"]) == 1 << len(density)
+        for key, value in doc["values"].items():
+            members = key.split(",") if key else []
+            expected = max((density[m] for m in members), default=0)
+            assert Fraction(value) == expected
 
     def test_single_capacity_rejected(self, files, capsys):
         code = main(
@@ -513,6 +547,29 @@ class TestErrors:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "strategies, message",
+        [
+            ([5, 6], r"strategies\[0\] must be a list of labels"),
+            (["ab", "cd"], r"strategies\[0\] must be a list of labels"),
+            ([["a|b", "a"], ["c", "b|c"]], r"'a\|b\|c'.*'\|' joins"),
+        ],
+        ids=["numbers", "strings", "pipe-collision"],
+    )
+    def test_bad_strategies_exit_two(self, tmp_path, capsys, strategies, message):
+        p = tmp_path / "game.json"
+        p.write_text(json.dumps({"strategies": strategies, "payoffs": [{}, {}]}))
+        code = main(
+            [
+                "search",
+                "--game", str(p),
+                "--payoff-tnorm", "min",
+                "--tensor-tnorm", "min",
+            ]
+        )
+        assert code == 2
+        assert re.search(message, capsys.readouterr().err)
 
     def test_malformed_game_file(self, tmp_path, capsys):
         p = tmp_path / "broken.json"

@@ -95,6 +95,8 @@ class TestGameConstruction:
             Game((AB, AB), ({("a", "a"): H}, [0, H, H, 0]))
         with pytest.raises(ValueError, match="outside"):
             Game((AB, AB), ([2, 0, 0, H], [0, H, H, 0]))
+        with pytest.raises(ValueError, match="outside"):
+            Game((AB, AB), ([1 + 5e-10, 0, 0, H], [0, H, H, 0]), tol=1e-9)
         with pytest.raises(ValueError, match="entries"):
             Game((AB, AB), ([H, 0, 0], [0, H, H, 0]))
 

@@ -241,10 +241,17 @@ class TestNFold:
             assert same_capacity(dens, gen)
 
     def test_pair_matches_binary_product(self, rng):
-        p1 = random_possibility(random_space(rng, max_size=3), rng)
-        p2 = random_possibility(random_space(rng, max_size=3), rng)
+        p1, p2, p3 = (
+            random_possibility(random_space(rng, max_size=3), rng)
+            for _ in range(3)
+        )
+        d1, d2, d3 = p1.density, p2.density, p3.density
         for ast in TNORMS:
-            assert tensor_n([p1, p2], ast) == tensor_density(p1, p2, ast)
+            pair = [ast(a, b) for a in d1 for b in d2]
+            assert tensor_density(p1, p2, ast).density == tuple(pair)
+            assert tensor_n([p1, p2], ast).density == tuple(pair)
+            triple = [ast(ast(a, b), c) for a in d1 for b in d2 for c in d3]
+            assert tensor_n([p1, p2, p3], ast).density == tuple(triple)
 
 
 class TestSupportCheck:
