@@ -49,8 +49,12 @@ def parse_value(raw, where: str = "value") -> Fraction:
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, float):
-        # accept the decimal the float prints as, not its binary expansion
-        return Fraction(repr(raw))
+        # accept the decimal the float prints as, not its binary expansion;
+        # JSON's 1e400, NaN and Infinity arrive here as non-finite floats
+        try:
+            return Fraction(repr(raw))
+        except ValueError:
+            raise ValueError(f"{where}: malformed fraction {raw!r}") from None
     if isinstance(raw, str):
         try:
             return Fraction(raw.strip())
@@ -168,6 +172,8 @@ def load_game(source, numeric: str = "rational") -> Game:
         for i, labels in enumerate(strategies)
     ]
     players = doc.get("players", len(spaces))
+    if not isinstance(players, int) or isinstance(players, bool):
+        raise ValueError(f"game: 'players' must be an integer, got {players!r}")
     if players != len(spaces):
         raise ValueError(
             f"game: 'players' is {players} but {len(spaces)} strategy lists given"

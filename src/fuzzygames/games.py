@@ -296,6 +296,17 @@ class EquilibriumCertificate:
     tensor_tnorm: str | None = None
 
 
+def _outside_mask(game: Game, i: int, opponent_masks) -> int:
+    """Opponent points outside the product of the opponents' response sets.
+
+    opponent_masks holds one best-response mask per opponent of player i,
+    ascending with i removed.  Player i's residual is the belief mass of
+    this set.
+    """
+    opp = game.opponent_space(i)
+    return opp.space.full_mask & ~opp.product_mask(opponent_masks)
+
+
 def verify_equilibrium(
     game: Game, beliefs, star: TNorm, tol=0, tensor_tnorm: str | None = None
 ) -> EquilibriumCertificate:
@@ -314,14 +325,12 @@ def verify_equilibrium(
     response_masks = [
         game.spaces[j].mask_of(responses[j]) for j in range(n)
     ]
-    residuals = []
-    for i in range(n):
-        opp = game.opponent_space(i)
-        inside = opp.product_mask(
-            [response_masks[j] for j in range(n) if j != i]
+    residuals = [
+        beliefs[i].value(
+            _outside_mask(game, i, response_masks[:i] + response_masks[i + 1:])
         )
-        outside = opp.space.full_mask & ~inside
-        residuals.append(beliefs[i].value(outside))
+        for i in range(n)
+    ]
     verdict = all(r <= tol for r in residuals)
     return EquilibriumCertificate(
         best_responses=tuple(responses),
@@ -372,6 +381,16 @@ def search_equilibria(
     An empty result means no equilibrium exists at this resolution; finer
     grids or the continuum are not ruled out.  If the total candidate count
     exceeds the budget the search refuses to start.
+
+    The work is factored by opponent combination: player i's induced belief,
+    best responses and response mask are computed once per combination of
+    the opponents' candidates and memoized, as is the set outside the
+    product of the opponents' response sets, per combination of their
+    response masks.  A candidate is dropped at its first residual above tol.
+    With C_j player j's candidate list, player i's memo holds at most
+    prod_{j != i} |C_j| entries, that is at most budget / |C_i|; each entry
+    keeps one belief, an n-1 fold tensor.  The results and certificates are
+    the ones verify_equilibrium gives on the induced beliefs.
     """
     mode = str(mode).strip().lower()
     necessity = False
@@ -403,18 +422,56 @@ def search_equilibria(
     if total > budget:
         raise SearchBudgetExceeded(total, budget)
 
+    caps = [
+        [PossibilityCapacity(space, d) for d in cands]
+        for space, cands in zip(game.spaces, per_player)
+    ]
+    if necessity:
+        caps = [[c.dual() for c in row] for row in caps]
+    n = game.players
+    players = range(n)
+    # per player: opponents' candidate indices -> (belief, best responses,
+    # response mask), and opponents' response masks -> outside mask
+    responses = [{} for _ in players]
+    outsides = [{} for _ in players]
     results = []
-    for combo in _iterproduct(*per_player):
-        caps = []
-        for space, density in zip(game.spaces, combo):
-            poss = PossibilityCapacity(space, density)
-            caps.append(poss.dual() if necessity else poss)
-        profile = StrategyProfile(game, caps)
-        beliefs = induced_beliefs(profile, ast, tol=tol)
-        cert = verify_equilibrium(
-            game, beliefs, star, tol=tol, tensor_tnorm=ast.name
-        )
-        if cert.verdict:
+    for idx in _iterproduct(*(range(len(row)) for row in caps)):
+        entries = []
+        for i in players:
+            key = idx[:i] + idx[i + 1:]
+            entry = responses[i].get(key)
+            if entry is None:
+                belief = tensor_n(
+                    [caps[j][k] for j, k in enumerate(idx) if j != i],
+                    ast,
+                    tol=tol,
+                )
+                best = best_response(game, i, belief, star, tol=tol)
+                entry = (belief, best, game.spaces[i].mask_of(best))
+                responses[i][key] = entry
+            entries.append(entry)
+        masks = tuple(entry[2] for entry in entries)
+        residuals = []
+        for i in players:
+            key = masks[:i] + masks[i + 1:]
+            outside = outsides[i].get(key)
+            if outside is None:
+                outside = outsides[i][key] = _outside_mask(game, i, key)
+            r = entries[i][0].value(outside)
+            if r > tol:
+                break
+            residuals.append(r)
+        else:
+            profile = StrategyProfile(
+                game, [caps[j][k] for j, k in enumerate(idx)]
+            )
+            cert = EquilibriumCertificate(
+                best_responses=tuple(entry[1] for entry in entries),
+                residuals=tuple(residuals),
+                verdict=True,
+                payoff_tnorm=star.name,
+                tensor_tnorm=ast.name,
+            )
             results.append((profile, cert))
     return results
 

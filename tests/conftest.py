@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's candidate-level shortcut
 and tensor plumbing: the integral oracle sweeps a dense grid of levels, and
 the certificate oracle recomputes best responses and residuals from raw
 density algebra over label tuples.  Tests compare library results against
-these slower routes.
+these slower routes.  Two more keep the direct forms of work the library
+shares: a search that checks every candidate from scratch, and a t-norm law
+sweep that calls the operation for every associativity term.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ from fuzzygames import (
     FiniteSpace,
     FuzzyFunction,
     Game,
+    LawReport,
     PossibilityCapacity,
+    StrategyProfile,
+    induced_beliefs,
+    verify_equilibrium,
 )
 
 
@@ -188,3 +194,88 @@ def brute_force_certificate(game: Game, profile_caps, star, ast):
 @pytest.fixture
 def rng():
     return random.Random(987123)
+
+
+def tnorm_laws_by_calls(t, grid_resolution: int = 11):
+    """check_tnorm_laws with every associativity term a fresh call of the op.
+
+    The library reads on-grid terms from its table instead; this sweep is
+    the direct form it must agree with field for field.
+    """
+    d = grid_resolution - 1
+    grid = [Fraction(i, d) for i in range(grid_resolution)]
+    fn = t._fn
+    n = len(grid)
+    one, zero = grid[-1], grid[0]
+    identity = max(abs(fn(a, one) - a) for a in grid)
+    boundary = max(abs(fn(a, zero)) for a in grid)
+    table = [[fn(a, b) for b in grid] for a in grid]
+    comm = zero
+    for i in range(n):
+        for j in range(i + 1, n):
+            comm = max(comm, abs(table[i][j] - table[j][i]))
+    mono = zero
+    for i in range(n - 1):
+        for j in range(n):
+            mono = max(
+                mono,
+                table[i][j] - table[i + 1][j],
+                table[j][i] - table[j][i + 1],
+            )
+    assoc = zero
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                d = abs(fn(table[i][j], grid[k]) - fn(grid[i], table[j][k]))
+                if d > assoc:
+                    assoc = d
+    return LawReport(
+        grid_resolution=grid_resolution,
+        commutativity=comm,
+        associativity=assoc,
+        monotonicity=mono,
+        identity=identity,
+        boundary=boundary,
+    )
+
+
+def per_candidate_search(game: Game, star, ast, mode="indicator", tol=0):
+    """Search by checking every candidate profile from scratch.
+
+    Each candidate gets its own induced beliefs and a full verify_equilibrium
+    call; the library's search shares that work across candidates with the
+    same opponents and must return the same profiles and certificates in the
+    same order.
+    """
+    if mode.startswith("grid:"):
+        steps = int(mode.split(":", 1)[1])
+        per_player = [
+            [
+                tuple(Fraction(k, steps) for k in combo)
+                for combo in iterproduct(range(steps + 1), repeat=s.size)
+                if max(combo) == steps
+            ]
+            for s in game.spaces
+        ]
+    else:
+        per_player = [
+            sorted(
+                tuple((mask >> k) & 1 for k in range(s.size))
+                for mask in range(1, 1 << s.size)
+            )
+            for s in game.spaces
+        ]
+    results = []
+    for combo in iterproduct(*per_player):
+        caps = [
+            PossibilityCapacity(space, density)
+            for space, density in zip(game.spaces, combo)
+        ]
+        if mode == "necessity":
+            caps = [c.dual() for c in caps]
+        profile = StrategyProfile(game, caps)
+        beliefs = induced_beliefs(profile, ast, tol=tol)
+        cert = verify_equilibrium(game, beliefs, star, tol=tol, tensor_tnorm=ast.name)
+        if cert.verdict:
+            results.append((profile, cert))
+    return results

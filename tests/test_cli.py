@@ -571,6 +571,38 @@ class TestErrors:
         assert code == 2
         assert re.search(message, capsys.readouterr().err)
 
+    def test_string_players_field_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "game.json"
+        p.write_text(json.dumps(dict(GAME1, players="2")))
+        code = main(
+            [
+                "search",
+                "--game", str(p),
+                "--payoff-tnorm", "min",
+                "--tensor-tnorm", "min",
+            ]
+        )
+        assert code == 2
+        assert "'players' must be an integer, got '2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1e400", "NaN", "Infinity"])
+    def test_non_finite_payoff_exits_two_with_its_location(
+        self, tmp_path, capsys, text
+    ):
+        p = tmp_path / "game.json"
+        p.write_text(json.dumps(GAME1).replace('"b,b": "1/2"', f'"b,b": {text}'))
+        code = main(
+            [
+                "search",
+                "--game", str(p),
+                "--payoff-tnorm", "min",
+                "--tensor-tnorm", "min",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"payoffs\[0\] at 'b,b': malformed fraction (inf|nan)", err)
+
     def test_malformed_game_file(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{")

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,13 @@ class TestScalars:
                     "density": {"a": "1", "b": "oops"},
                 }
             )
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "NaN", "Infinity"])
+    def test_non_finite_json_numbers_name_the_field(self, text):
+        raw = json.loads(text)
+        where = "payoffs[0] at 'a,b'"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}: malformed fraction"):
+            parse_value(raw, where)
 
     def test_format_value(self):
         assert format_value(H) == "1/2"
@@ -202,6 +210,14 @@ class TestGameFiles:
         with pytest.raises(ValueError, match="players"):
             load_game(doc)
 
+    @pytest.mark.parametrize("players", ["2", 2.0, True, None])
+    def test_players_field_must_be_an_integer(self, players):
+        doc = dict(GAME_DOC)
+        doc["players"] = players
+        message = f"'players' must be an integer, got {players!r}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            load_game(doc)
+
     def test_players_field_optional(self):
         doc = dict(GAME_DOC)
         del doc["players"]
@@ -238,6 +254,25 @@ class TestGameFiles:
         sample = next(iter(doc["payoffs"][0]))
         assert sample.count(",") == 2
         assert load_game(doc).payoffs == game.payoffs
+
+
+NON_FINITE = ["1e400", "NaN", "Infinity", "-Infinity"]
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_non_finite_numbers_in_files_keep_their_location(text):
+    game = json.loads(json.dumps(GAME_DOC).replace('"b,b": "1/2"', f'"b,b": {text}'))
+    with pytest.raises(ValueError, match=r"^payoffs\[0\] at 'b,b': malformed fraction"):
+        load_game(game)
+    cap = json.loads(json.dumps(POSS_DOC).replace('"1/2"', text))
+    with pytest.raises(ValueError, match=r"^density of 'b': malformed fraction"):
+        load_capacity(cap)
+    general = json.loads(json.dumps(GENERAL_DOC).replace('"1/2"', text))
+    with pytest.raises(ValueError, match=r"^value of subset 'a': malformed fraction"):
+        load_capacity(general)
+    func = json.loads(f'{{"space": ["a", "b"], "values": {{"a": "1", "b": {text}}}}}')
+    with pytest.raises(ValueError, match=r"^value of 'b': malformed fraction"):
+        load_function(func)
 
 
 class TestFunctionFiles:

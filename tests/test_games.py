@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import product as iterproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import fuzzygames.games as games_module
 
 from fuzzygames import (
     BeliefProfile,
@@ -30,7 +34,7 @@ from fuzzygames import (
     verify_capacity_nash,
     verify_equilibrium,
 )
-from conftest import brute_force_certificate, random_game
+from conftest import brute_force_certificate, per_candidate_search, random_game
 
 H = Fraction(1, 2)
 AB = FiniteSpace(("a", "b"))
@@ -573,3 +577,99 @@ class TestFloatMode:
         cert_prod = verify_equilibrium(fg, (fb, fb), PRODUCT, tol=1e-9)
         assert cert_prod.verdict is False
         assert abs(cert_prod.residuals[1] - 0.5) <= 1e-9
+
+
+def _float_game(g):
+    return Game(g.spaces, [[float(v) for v in t] for t in g.payoffs], tol=1e-9)
+
+
+def _same_search(game, star, ast, mode, tol):
+    found = search_equilibria(game, star, ast, mode=mode, tol=tol)
+    expected = per_candidate_search(game, star, ast, mode=mode, tol=tol)
+    assert [(p.capacities, c) for p, c in found] == [
+        (p.capacities, c) for p, c in expected
+    ]
+    return len(found)
+
+
+class TestFactoredSearch:
+    SIZES = {
+        "indicator": [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3)],
+        "grid:2": [(2, 2), (2, 3), (3, 3), (2, 2, 2)],
+        "necessity": [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3)],
+    }
+
+    @pytest.mark.parametrize("numeric", ["exact", "float"])
+    @pytest.mark.parametrize("mode", ["indicator", "grid:2", "necessity"])
+    def test_matches_the_per_candidate_loop(self, mode, numeric):
+        # sixths make float payoffs inexact, so tol = 1e-9 is exercised
+        rng = random.Random(41)
+        found = 0
+        for sizes in self.SIZES[mode]:
+            g = random_game(rng, players=len(sizes), sizes=list(sizes), denom=6)
+            tol = 0
+            if numeric == "float":
+                g, tol = _float_game(g), 1e-9
+            for star in TNORMS:
+                for ast in TNORMS:
+                    found += _same_search(g, star, ast, mode, tol)
+        assert found > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_candidate_loop_on_small_games(self, data):
+        players = data.draw(st.integers(2, 3), label="players")
+        top = 3 if players == 2 else 2
+        sizes = data.draw(
+            st.lists(st.integers(1, top), min_size=players, max_size=players)
+        )
+        spaces = [FiniteSpace(tuple("abc"[:n])) for n in sizes]
+        total = 1
+        for n in sizes:
+            total *= n
+        unit = st.sampled_from([Fraction(k, 4) for k in range(5)])
+        payoffs = data.draw(
+            st.lists(st.lists(unit, min_size=total, max_size=total),
+                     min_size=players, max_size=players)
+        )
+        g = Game(spaces, payoffs)
+        tol = 0
+        if data.draw(st.booleans(), label="float"):
+            g, tol = _float_game(g), 1e-9
+        mode = data.draw(st.sampled_from(["indicator", "grid:2", "necessity"]))
+        star = data.draw(st.sampled_from(TNORMS))
+        ast = data.draw(st.sampled_from(TNORMS))
+        _same_search(g, star, ast, mode, tol)
+
+    @pytest.mark.parametrize("mode", ["indicator", "grid:2", "necessity"])
+    def test_work_is_shared_across_candidates(self, monkeypatch, mode):
+        # each player's belief and best responses are built once per
+        # combination of opponent candidates, not once per candidate profile
+        counts = {"integrals": 0, "tensors": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            games_module, "tnormed_integral",
+            counting("integrals", games_module.tnormed_integral),
+        )
+        monkeypatch.setattr(
+            games_module, "tensor_n", counting("tensors", games_module.tensor_n)
+        )
+        g = random_game(random.Random(7), players=3, sizes=[2, 2, 3])
+        if mode == "grid:2":
+            cands = [3**s.size - 2**s.size for s in g.spaces]
+        else:
+            cands = [2**s.size - 1 for s in g.spaces]
+        search_equilibria(g, PRODUCT, LUKASIEWICZ, mode=mode)
+        per_opponents = [cands[(i + 1) % 3] * cands[(i + 2) % 3] for i in range(3)]
+        # per-candidate recomputation would build 3 * prod(cands) tensors
+        assert sum(per_opponents) < 3 * cands[0] * cands[1] * cands[2]
+        assert counts["tensors"] <= sum(per_opponents)
+        assert counts["integrals"] <= sum(
+            s.size * m for s, m in zip(g.spaces, per_opponents)
+        )

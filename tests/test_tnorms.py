@@ -12,6 +12,7 @@ from fuzzygames import (
     check_tnorm_laws,
     tnorm,
 )
+from conftest import tnorm_laws_by_calls
 
 H = Fraction(1, 2)
 UNIT = st.fractions(min_value=0, max_value=1, max_denominator=64)
@@ -123,6 +124,48 @@ class TestLaws:
     def test_tiny_grid_rejected(self):
         with pytest.raises(ValueError):
             check_tnorm_laws(MINIMUM, grid_resolution=1)
+
+
+def _hamacher(a, b):
+    return 0 if a == b == 0 else a * b / (a + b - a * b)
+
+
+def _left_luk_right_min(a, b):
+    # on the grid, commutative-free and not associative
+    return max(0, a + b - 1) if a < b else min(a, b)
+
+
+def _int_sensitive(a, b):
+    # min on Fractions, but returns the int 1 at (1, 1) and maps any int
+    # argument to 0: a sweep that confused int 1 with Fraction 1 would miss
+    # the associativity failure this causes
+    if type(a) is int or type(b) is int:
+        return 0
+    return 1 if a == b == 1 else min(a, b)
+
+
+LAW_SWEEP_OPS = [
+    MINIMUM,
+    PRODUCT,
+    LUKASIEWICZ,
+    TNorm("hamacher", _hamacher),
+    TNorm("mix", lambda a, b: a * b * (a + b) / 2),
+    TNorm("split", _left_luk_right_min),
+    TNorm("float-prod", lambda a, b: float(a) * float(b)),
+    TNorm("int-sensitive", _int_sensitive),
+]
+
+
+@pytest.mark.parametrize("t", LAW_SWEEP_OPS, ids=lambda t: t.name)
+@pytest.mark.parametrize("resolution", [2, 3, 5, 12, 21])
+def test_law_sweep_matches_direct_calls(t, resolution):
+    assert check_tnorm_laws(t, resolution) == tnorm_laws_by_calls(t, resolution)
+
+
+def test_law_sweep_oracle_sees_broken_associativity():
+    for name in ("mix", "split", "int-sensitive"):
+        t = next(t for t in LAW_SWEEP_OPS if t.name == name)
+        assert tnorm_laws_by_calls(t, 5).associativity > 0
 
 
 class TestFromFunction:
