@@ -380,7 +380,8 @@ def search_equilibria(
     density encodings, players ascending, so output order is deterministic.
     An empty result means no equilibrium exists at this resolution; finer
     grids or the continuum are not ruled out.  If the total candidate count
-    exceeds the budget the search refuses to start.
+    exceeds the budget the search refuses to start; the count is computed in
+    closed form, before any candidate is listed.
 
     The work is factored by opponent combination: player i's induced belief,
     best responses and response mask are computed once per combination of
@@ -393,10 +394,9 @@ def search_equilibria(
     the ones verify_equilibrium gives on the induced beliefs.
     """
     mode = str(mode).strip().lower()
-    necessity = False
-    if mode == "indicator":
-        per_player = [_indicator_densities(s.size) for s in game.spaces]
-    elif mode == "grid" or mode.startswith("grid:"):
+    necessity = mode in ("necessity-indicator", "necessity")
+    steps = None
+    if mode == "grid" or mode.startswith("grid:"):
         if mode == "grid":
             steps = DEFAULT_GRID_STEPS
         else:
@@ -406,21 +406,27 @@ def search_equilibria(
                 raise ValueError(f"bad grid mode {mode!r}; use grid:<steps>") from None
         if steps < 1:
             raise ValueError("grid mode needs at least one step")
-        per_player = [_grid_densities(s.size, steps) for s in game.spaces]
-    elif mode in ("necessity-indicator", "necessity"):
-        necessity = True
-        per_player = [_indicator_densities(s.size) for s in game.spaces]
-    else:
+    elif mode != "indicator" and not necessity:
         raise ValueError(
             f"unknown search mode {mode!r}; use indicator, grid:<g>, "
             "or necessity-indicator"
         )
 
+    # count in closed form, so an oversized mode is refused before any
+    # candidate list is built
     total = 1
-    for cands in per_player:
-        total *= len(cands)
+    for s in game.spaces:
+        if steps is None:
+            total *= (1 << s.size) - 1
+        else:
+            total *= (steps + 1) ** s.size - steps ** s.size
     if total > budget:
         raise SearchBudgetExceeded(total, budget)
+
+    if steps is None:
+        per_player = [_indicator_densities(s.size) for s in game.spaces]
+    else:
+        per_player = [_grid_densities(s.size, steps) for s in game.spaces]
 
     caps = [
         [PossibilityCapacity(space, d) for d in cands]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product as _iterproduct
 
 # General (table-backed) capacities materialize all 2^n subset values, so the
@@ -17,7 +18,7 @@ class FiniteSpace:
     spaces are equal when their label tuples are equal.
     """
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "full_mask", "_index")
 
     def __init__(self, labels):
         labels = tuple(labels)
@@ -32,6 +33,7 @@ class FiniteSpace:
                 # commas delimit subset keys in the file formats
                 raise ValueError(f"bad label {name!r}: commas are reserved")
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "full_mask", (1 << len(labels)) - 1)
         object.__setattr__(self, "_index", {name: k for k, name in enumerate(labels)})
 
     def __setattr__(self, name, value):
@@ -40,10 +42,6 @@ class FiniteSpace:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.labels)) - 1
 
     def index(self, label: str) -> int:
         try:
@@ -171,3 +169,13 @@ class ProductSpace:
 
     def __repr__(self):
         return f"ProductSpace({list(self.factors)!r})"
+
+
+@lru_cache(maxsize=256)
+def _product_space(factors: tuple) -> ProductSpace:
+    """The ProductSpace of a tuple of factor spaces, shared between calls.
+
+    Tensor products rebuild the same few products over and over; the cache
+    keeps the 256 most recently used.
+    """
+    return ProductSpace(factors)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import product as _iterproduct
 
-from .spaces import ProductSpace, GENERAL_TABLE_MAX_ELEMENTS
+from .spaces import GENERAL_TABLE_MAX_ELEMENTS, _product_space
 from .tnorms import TNorm
 from .capacities import Capacity, PossibilityCapacity
 from .integrals import _level_maximum
@@ -38,7 +38,12 @@ def tensor_general(mu1, mu2, ast: TNorm, tol=0) -> Capacity:
     """Slice-form product of two arbitrary capacities.
 
     Materializes the full table on the product space, so the combined size is
-    capped like any general capacity.
+    capped like any general capacity.  Each factor's table is read once.  A
+    cell depends only on its tuple of slice values, so the level maximum runs
+    once per distinct tuple: masks of mu2 whose values agree in type and value
+    share one representative, and results are memoized by the tuple of
+    representatives (never more entries than the table has cells).  The table
+    is then validated in full like any general capacity.
     """
     n1 = mu1.space.size
     n2 = mu2.space.size
@@ -47,13 +52,22 @@ def tensor_general(mu1, mu2, ast: TNorm, tol=0) -> Capacity:
             f"product space has {n1 * n2} elements; general tables are capped "
             f"at {GENERAL_TABLE_MAX_ELEMENTS}"
         )
-    prod = ProductSpace([mu1.space, mu2.space])
-    full2 = mu2.space.full_mask
-    measure = mu1.value
+    prod = _product_space((mu1.space, mu2.space))
+    tab1 = [mu1.value(m) for m in range(1 << n1)]
+    tab2 = [mu2.value(m) for m in range(1 << n2)]
+    first = {}
+    reps = [first.setdefault((type(v), v), m) for m, v in enumerate(tab2)]
+    memo = {}
     values = []
-    for b in range(1 << (n1 * n2)):
-        slices = [mu2.value((b >> (x * n2)) & full2) for x in range(n1)]
-        values.append(_level_maximum(slices, measure, ast))
+    # mask b holds the slice of point x in bits x*n2 .. x*n2 + n2 - 1, so in
+    # mask order x = n1 - 1 is outermost and slice 0 varies fastest
+    for key in _iterproduct(reps, repeat=n1):
+        try:
+            v = memo[key]
+        except KeyError:
+            slices = [tab2[r] for r in reversed(key)]
+            v = memo[key] = _level_maximum(slices, tab1.__getitem__, ast)
+        values.append(v)
     return Capacity(prod.space, values, tol=tol)
 
 
@@ -70,7 +84,7 @@ def tensor_n(caps, ast: TNorm, tol=0):
     if len(caps) == 1:
         return caps[0]
     if all(isinstance(c, PossibilityCapacity) for c in caps):
-        prod = ProductSpace([c.space for c in caps])
+        prod = _product_space(tuple(c.space for c in caps))
         density = []
         for point in _iterproduct(*(c.density for c in caps)):
             acc = point[0]
@@ -109,7 +123,7 @@ def support_check(caps, supports, ast: TNorm, tol=0) -> bool:
             )
         masks.append(mask)
     joint = tensor_n(caps, ast, tol=tol)
-    prod = ProductSpace([c.space for c in caps])
+    prod = _product_space(tuple(c.space for c in caps))
     inside = prod.product_mask(masks)
     outside = prod.space.full_mask & ~inside
     return abs(joint.value(outside)) <= tol

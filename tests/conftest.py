@@ -4,9 +4,11 @@ The oracles here deliberately avoid the library's candidate-level shortcut
 and tensor plumbing: the integral oracle sweeps a dense grid of levels, and
 the certificate oracle recomputes best responses and residuals from raw
 density algebra over label tuples.  Tests compare library results against
-these slower routes.  Two more keep the direct forms of work the library
-shares: a search that checks every candidate from scratch, and a t-norm law
-sweep that calls the operation for every associativity term.
+these slower routes.  More keep the direct forms of work the library
+shares: a search that checks every candidate from scratch, a t-norm law
+sweep that calls the operation for every associativity term, a slice tensor
+that reads both factors anew for every subset, and the covering-pair
+monotonicity sweep in mask order.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from fuzzygames import (
     Game,
     LawReport,
     PossibilityCapacity,
+    ProductSpace,
     StrategyProfile,
     induced_beliefs,
     verify_equilibrium,
 )
+from fuzzygames.integrals import _level_maximum
 
 
 def rand_unit(rng: random.Random, denom: int = 16) -> Fraction:
@@ -97,6 +101,11 @@ def random_game(
         for _ in range(players)
     ]
     return Game(spaces, payoffs)
+
+
+def hamacher(a, b):
+    """The Hamacher product, a t-norm outside the three built-ins."""
+    return 0 if a == b == 0 else a * b / (a + b - a * b)
 
 
 def grid_integral(f: FuzzyFunction, mu, star, resolution: int = 1000):
@@ -279,3 +288,44 @@ def per_candidate_search(game: Game, star, ast, mode="indicator", tol=0):
         if cert.verdict:
             results.append((profile, cert))
     return results
+
+
+def slice_tensor_by_calls(mu1, mu2, ast, tol=0) -> Capacity:
+    """tensor_general with every slice value and measure a fresh value call.
+
+    One level maximum per subset of the product, reading mu2 once per point
+    of mu1's space and mu1 once per level; the library reads each table once
+    and shares the level maximum between subsets with equal slice values.
+    """
+    n1 = mu1.space.size
+    n2 = mu2.space.size
+    full2 = mu2.space.full_mask
+    values = []
+    for b in range(1 << (n1 * n2)):
+        slices = [mu2.value((b >> (x * n2)) & full2) for x in range(n1)]
+        values.append(_level_maximum(slices, mu1.value, ast))
+    prod = ProductSpace([mu1.space, mu2.space])
+    return Capacity(prod.space, values, tol=tol)
+
+
+def first_monotonicity_failure(space, values, tol=0):
+    """The covering-pair sweep in mask order, as Capacity once ran it.
+
+    Returns None when every covering pair holds within tol, else the
+    (message, witness) of the first failing pair, as CapacityError gives it.
+    """
+    for mask in range(len(values)):
+        vm = values[mask]
+        free = space.full_mask & ~mask
+        while free:
+            bit = free & -free
+            free ^= bit
+            if vm - values[mask | bit] > tol:
+                small = space.members(mask)
+                large = space.members(mask | bit)
+                return (
+                    f"monotonicity fails: value{small!r} = {vm!r} "
+                    f"exceeds value{large!r} = {values[mask | bit]!r}",
+                    (small, large),
+                )
+    return None

@@ -24,6 +24,7 @@ from fuzzygames import (
     same_capacity,
 )
 from conftest import (
+    first_monotonicity_failure,
     min_intersection_law,
     random_capacity,
     random_possibility,
@@ -402,3 +403,64 @@ def test_necessity_sweep_matches_min_intersection_oracle(seed):
         floats = Capacity(space, nudged, tol=1e-9)
         for tol in (0, 1e-9):
             assert is_necessity(floats, tol) == min_intersection_law(floats, tol)
+
+
+def _verdict(space, values, tol):
+    """None if Capacity accepts the table, else (message, witness)."""
+    try:
+        Capacity(space, values, tol=tol)
+    except CapacityError as err:
+        return str(err), err.witness
+    return None
+
+
+def _plant_drop(values, space, delta, rng):
+    """Lower one larger set of a covering pair to delta below the smaller."""
+    pairs = [
+        (mask, 1 << k)
+        for mask in range(1, len(values))
+        for k in range(space.size)
+        if not mask >> k & 1 and values[mask] >= delta
+    ]
+    if not pairs:
+        return None
+    mask, bit = rng.choice(pairs)
+    planted = list(values)
+    planted[mask | bit] = values[mask] - delta
+    return planted
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    size=st.integers(min_value=1, max_value=6),
+)
+def test_monotonicity_check_matches_ordered_sweep(seed, size):
+    """Capacity accepts and rejects exactly as the ordered covering sweep.
+
+    Monotone tables, then one planted covering-pair drop: exact, and in
+    floats just within and just past tol.  A rejection carries the first
+    failing pair in mask order, with the same message and witness.
+    """
+    rng = random.Random(seed)
+    space = FiniteSpace(tuple(f"p{k}" for k in range(size)))
+    exact = list(random_capacity(space, rng).values)
+    floats = [float(v) for v in exact]
+    cases = [(exact, 0), (floats, 1e-9), (floats, 0)]
+    for values, delta, tol in (
+        (exact, Fraction(1, 97), 0),
+        (floats, 0.5e-9, 1e-9),
+        (floats, 1.5e-9, 1e-9),
+        (floats, 1e-12, 0),
+    ):
+        planted = _plant_drop(values, space, delta, rng)
+        if planted is not None:
+            cases.append((planted, tol))
+    for values, tol in cases:
+        expected = first_monotonicity_failure(space, values, tol)
+        got = _verdict(space, values, tol)
+        if expected is None:
+            assert got is None or "monotonicity" not in got[0]
+        else:
+            assert got == expected
+    assert _verdict(space, exact, 0) is None

@@ -417,6 +417,19 @@ class TestSearch:
         assert code == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_oversized_grid_exits_three_before_listing(self, files, capsys):
+        code = main(
+            [
+                "search",
+                "--game", files["game1"],
+                "--payoff-tnorm", "min",
+                "--tensor-tnorm", "min",
+                "--mode", "grid:99999999",
+            ]
+        )
+        assert code == 3
+        assert "budget" in capsys.readouterr().err
+
     def test_bad_mode(self, files, capsys):
         code = main(
             [

@@ -402,6 +402,23 @@ class TestSearch:
         assert err.value.candidates == 9
         assert err.value.budget == 3
 
+    def test_budget_is_checked_before_candidates_are_listed(self):
+        # closed-form counts: (g+1)^n - g^n per player for grid:g, and
+        # 2^n - 1 for indicator and necessity; listing them would not end
+        g = example_game_one()
+        steps = 99_999_999
+        per_player = (steps + 1) ** 2 - steps ** 2
+        with pytest.raises(SearchBudgetExceeded) as err:
+            search_equilibria(g, MINIMUM, MINIMUM, mode=f"grid:{steps}")
+        assert err.value.candidates == per_player ** 2
+        wide = FiniteSpace(tuple(f"s{k}" for k in range(30)))
+        narrow = FiniteSpace(("a", "b"))
+        game = Game([wide, narrow], [[0] * 60, [0] * 60])
+        for mode in ("indicator", "necessity"):
+            with pytest.raises(SearchBudgetExceeded) as err:
+                search_equilibria(game, MINIMUM, MINIMUM, mode=mode)
+            assert err.value.candidates == ((1 << 30) - 1) * 3
+
     def test_mode_errors(self):
         g = example_game_one()
         with pytest.raises(ValueError, match="unknown search mode"):

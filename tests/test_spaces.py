@@ -58,6 +58,9 @@ class TestFiniteSpace:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             AB.labels = ("c",)
+        with pytest.raises(AttributeError):
+            AB.full_mask = 0b111
+        assert AB.full_mask == 0b11
 
 
 class TestProductSpace:

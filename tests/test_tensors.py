@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzygames import (
     Capacity,
@@ -10,6 +12,7 @@ from fuzzygames import (
     PRODUCT,
     PossibilityCapacity,
     ProductSpace,
+    TNorm,
     greatest_capacity,
     is_necessity,
     is_possibility,
@@ -20,11 +23,14 @@ from fuzzygames import (
     tensor_general,
     tensor_n,
 )
+import fuzzygames.tensors
 from conftest import (
+    hamacher,
     random_capacity,
     random_possibility,
     random_space,
     random_supported_capacity,
+    slice_tensor_by_calls,
 )
 
 H = Fraction(1, 2)
@@ -165,6 +171,16 @@ class TestGeneralForm:
                         prod.product_mask([s1.full_mask, m])
                     ) == mu2.value(m)
 
+    def test_product_space_is_shared_between_calls(self, rng):
+        s1 = random_space(rng, max_size=3)
+        s2 = random_space(rng, max_size=3)
+        mu1 = random_capacity(s1, rng)
+        mu2 = random_capacity(s2, rng)
+        a = tensor_general(mu1, mu2, MINIMUM)
+        b = tensor_general(mu1, mu2, PRODUCT)
+        assert a.space is b.space
+        assert a.space == ProductSpace([s1, s2]).space
+
     def test_size_cap(self):
         big = FiniteSpace(tuple(f"e{k}" for k in range(5)))
         mu = greatest_capacity(big)
@@ -304,3 +320,151 @@ class TestSupportCheck:
         p = possibility_from_density(AB, {"a": 1})
         with pytest.raises(ValueError, match="one support per"):
             support_check([p, p], [("a",)], MINIMUM)
+
+
+# a coarse validation grid keeps collection fast
+HAMACHER = TNorm.from_function("hamacher", hamacher, grid_resolution=9)
+SLICE_TNORMS = TNORMS + [HAMACHER]
+KINDS = ("general", "possibility", "necessity")
+
+
+def random_factor(space, kind, rng, floats=False):
+    """A random capacity of the given kind, exact or in floats."""
+    if kind == "general":
+        cap = random_capacity(space, rng)
+        if floats:
+            cap = Capacity(space, [float(v) for v in cap.values], tol=1e-9)
+        return cap
+    cap = random_possibility(space, rng)
+    if floats:
+        cap = PossibilityCapacity(space, [float(d) for d in cap.density])
+    return cap.dual() if kind == "necessity" else cap
+
+
+def typed(cap):
+    return [(type(v), v) for v in cap.values]
+
+
+def sized_space(name, size):
+    return FiniteSpace(tuple(f"{name}{k}" for k in range(size)))
+
+
+class TestSliceTableDifferential:
+    """tensor_general against the per-subset slice loop, type for type."""
+
+    @pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+    def test_every_size_pair_and_kind(self, floats):
+        rng = random.Random(4041 + floats)
+        tol = 1e-9 if floats else 0
+        for n1 in range(1, 5):
+            for n2 in range(1, 5):
+                s1, s2 = sized_space("a", n1), sized_space("b", n2)
+                # the oracle needs seconds per 4x4 table, so large pairs
+                # cycle through the kinds and t-norms instead of crossing them
+                pairs = [(k1, k2) for k1 in KINDS for k2 in KINDS]
+                norms = SLICE_TNORMS
+                if n1 * n2 > 9:
+                    pairs = [pairs[(n1 * 4 + n2) % len(pairs)]]
+                    norms = [SLICE_TNORMS[(n1 + n2) % len(SLICE_TNORMS)]]
+                for k1, k2 in pairs:
+                    mu1 = random_factor(s1, k1, rng, floats)
+                    mu2 = random_factor(s2, k2, rng, floats)
+                    for ast in norms:
+                        out = tensor_general(mu1, mu2, ast, tol=tol)
+                        ref = slice_tensor_by_calls(mu1, mu2, ast, tol=tol)
+                        assert out.space == ref.space
+                        assert typed(out) == typed(ref), (n1, n2, k1, k2, ast)
+
+    @pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+    def test_three_factor_fold(self, floats):
+        rng = random.Random(4043 + floats)
+        tol = 1e-9 if floats else 0
+        for sizes in ((2, 2, 2), (1, 3, 2), (2, 1, 3)):
+            for ast in SLICE_TNORMS:
+                kinds = [rng.choice(KINDS) for _ in sizes]
+                kinds[rng.randrange(3)] = "necessity"  # force the slice route
+                caps = [
+                    random_factor(sized_space(f"f{pos}x", n), kind, rng, floats)
+                    for pos, (n, kind) in enumerate(zip(sizes, kinds))
+                ]
+                out = tensor_n(caps, ast, tol=tol)
+                ref = caps[0]
+                for nxt in caps[1:]:
+                    ref = slice_tensor_by_calls(ref, nxt, ast, tol=tol)
+                assert out.space == ref.space
+                assert typed(out) == typed(ref), (sizes, kinds, ast)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n1=st.integers(min_value=1, max_value=3),
+        n2=st.integers(min_value=1, max_value=3),
+        k1=st.sampled_from(KINDS),
+        k2=st.sampled_from(KINDS),
+        ast=st.sampled_from(SLICE_TNORMS),
+        floats=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_hypothesis_pairs(self, n1, n2, k1, k2, ast, floats, seed):
+        rng = random.Random(seed)
+        tol = 1e-9 if floats else 0
+        mu1 = random_factor(sized_space("a", n1), k1, rng, floats)
+        mu2 = random_factor(sized_space("b", n2), k2, rng, floats)
+        out = tensor_general(mu1, mu2, ast, tol=tol)
+        assert typed(out) == typed(slice_tensor_by_calls(mu1, mu2, ast, tol=tol))
+
+    def test_int_and_fraction_values_keep_their_types(self):
+        # a necessity factor yields the int 1 and Fraction values; a float
+        # table yields 1.0: none of them may stand in for another
+        nec = possibility_from_density(AB, {"a": 1, "b": H}).dual()
+        gen = Capacity(AB, [0, Fraction(1), 1.0, 1])
+        for mu1, mu2 in ((nec, gen), (gen, nec), (gen, gen)):
+            for ast in SLICE_TNORMS:
+                out = tensor_general(mu1, mu2, ast)
+                assert typed(out) == typed(slice_tensor_by_calls(mu1, mu2, ast))
+
+
+class CountingCapacity:
+    """A capacity whose value calls are counted."""
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.space = cap.space
+        self.reads = 0
+
+    def value(self, mask):
+        self.reads += 1
+        return self.cap.value(mask)
+
+
+class TestSliceTableWork:
+    def test_memo_bounds_level_maxima_and_reads(self, monkeypatch, rng):
+        calls = []
+        level_maximum = fuzzygames.tensors._level_maximum
+
+        def counted(*args):
+            calls.append(1)
+            return level_maximum(*args)
+
+        monkeypatch.setattr(fuzzygames.tensors, "_level_maximum", counted)
+        necessities = [("necessity", "necessity")]
+        mixed = necessities + [
+            ("general", "necessity"),
+            ("necessity", "general"),
+            ("general", "possibility"),
+        ]
+        # 4x4 with a general mu2 would memoize up to 16^4 tuples: keep the
+        # large case to the 0/1-heavy necessity factors of the search
+        for (n1, n2), kinds in (
+            ((3, 3), mixed), ((2, 4), mixed), ((4, 2), mixed), ((4, 4), necessities)
+        ):
+            for k1, k2 in kinds:
+                s1, s2 = sized_space("a", n1), sized_space("b", n2)
+                mu1 = CountingCapacity(random_factor(s1, k1, rng))
+                mu2 = CountingCapacity(random_factor(s2, k2, rng))
+                distinct = len({
+                    (type(v), v) for v in map(mu2.cap.value, s2.subsets())
+                })
+                calls.clear()
+                tensor_general(mu1, mu2, PRODUCT)
+                assert len(calls) <= distinct ** n1
+                assert mu1.reads + mu2.reads <= (1 << n1) + (1 << n2)

@@ -12,7 +12,7 @@ from fuzzygames import (
     check_tnorm_laws,
     tnorm,
 )
-from conftest import tnorm_laws_by_calls
+from conftest import hamacher, tnorm_laws_by_calls
 
 H = Fraction(1, 2)
 UNIT = st.fractions(min_value=0, max_value=1, max_denominator=64)
@@ -126,10 +126,6 @@ class TestLaws:
             check_tnorm_laws(MINIMUM, grid_resolution=1)
 
 
-def _hamacher(a, b):
-    return 0 if a == b == 0 else a * b / (a + b - a * b)
-
-
 def _left_luk_right_min(a, b):
     # on the grid, commutative-free and not associative
     return max(0, a + b - 1) if a < b else min(a, b)
@@ -148,7 +144,7 @@ LAW_SWEEP_OPS = [
     MINIMUM,
     PRODUCT,
     LUKASIEWICZ,
-    TNorm("hamacher", _hamacher),
+    TNorm("hamacher", hamacher),
     TNorm("mix", lambda a, b: a * b * (a + b) / 2),
     TNorm("split", _left_luk_right_min),
     TNorm("float-prod", lambda a, b: float(a) * float(b)),
