@@ -20,6 +20,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import sub
 
+from ._frozen import Value
 from .spaces import FiniteSpace, GENERAL_TABLE_MAX_ELEMENTS
 
 
@@ -52,7 +53,7 @@ def _worst_covering_drop(values, k):
     return max(map(sub, compress(values, keep), compress(values[half:], keep)))
 
 
-class Capacity:
+class Capacity(Value):
     """A general capacity stored as a full subset table.
 
     values is indexed by subset bitmask (so its length is 2**space.size).
@@ -63,6 +64,7 @@ class Capacity:
     """
 
     __slots__ = ("space", "values")
+    _fields = ("space", "values")
     kind = "general"
 
     def __init__(self, space, values, tol=0):
@@ -110,9 +112,6 @@ class Capacity:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", values)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Capacity is immutable")
-
     def value(self, mask: int):
         return self.values[mask]
 
@@ -126,21 +125,8 @@ class Capacity:
             self.space, [1 - vals[full ^ m] for m in range(len(vals))], tol=tol
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Capacity)
-            and self.space == other.space
-            and self.values == other.values
-        )
 
-    def __hash__(self):
-        return hash((Capacity, self.space, self.values))
-
-    def __repr__(self):
-        return f"Capacity({self.space!r}, {list(self.values)!r})"
-
-
-class PossibilityCapacity:
+class PossibilityCapacity(Value):
     """A capacity determined by a density on points.
 
     density[k] is the value of the singleton {labels[k]}; the largest density
@@ -150,6 +136,7 @@ class PossibilityCapacity:
     """
 
     __slots__ = ("space", "density")
+    _fields = ("space", "density")
     kind = "possibility"
 
     def __init__(self, space, density, tol=0):
@@ -171,9 +158,6 @@ class PossibilityCapacity:
             )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "density", density)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PossibilityCapacity is immutable")
 
     def value(self, mask: int):
         if mask == 0:
@@ -201,21 +185,8 @@ class PossibilityCapacity:
     def dual(self, tol=0) -> "NecessityCapacity":
         return NecessityCapacity(self)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PossibilityCapacity)
-            and self.space == other.space
-            and self.density == other.density
-        )
 
-    def __hash__(self):
-        return hash((PossibilityCapacity, self.space, self.density))
-
-    def __repr__(self):
-        return f"PossibilityCapacity({self.space!r}, {list(self.density)!r})"
-
-
-class NecessityCapacity:
+class NecessityCapacity(Value):
     """The dual of a possibility capacity, stored by its conjugate.
 
     value(F) = 1 - conjugate(complement of F).  Taking the dual again returns
@@ -223,6 +194,7 @@ class NecessityCapacity:
     """
 
     __slots__ = ("space", "conjugate")
+    _fields = ("conjugate",)
     kind = "necessity"
 
     def __init__(self, conjugate: PossibilityCapacity):
@@ -230,9 +202,6 @@ class NecessityCapacity:
             raise ValueError("NecessityCapacity wraps a PossibilityCapacity")
         object.__setattr__(self, "space", conjugate.space)
         object.__setattr__(self, "conjugate", conjugate)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NecessityCapacity is immutable")
 
     @classmethod
     def from_dual_density(cls, space, density, tol=0):
@@ -248,18 +217,6 @@ class NecessityCapacity:
 
     def dual(self, tol=0) -> PossibilityCapacity:
         return self.conjugate
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NecessityCapacity)
-            and self.conjugate == other.conjugate
-        )
-
-    def __hash__(self):
-        return hash((NecessityCapacity, self.conjugate))
-
-    def __repr__(self):
-        return f"NecessityCapacity(dual of {self.conjugate!r})"
 
 
 def make_capacity(space, table, tol=0) -> Capacity:

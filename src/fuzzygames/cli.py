@@ -21,6 +21,7 @@ from .fileio import (
     save_json,
 )
 from .games import (
+    DEFAULT_SEARCH_BUDGET,
     SearchBudgetExceeded,
     StrategyProfile,
     best_response,
@@ -128,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=int,
-        default=10_000_000,
+        default=DEFAULT_SEARCH_BUDGET,
         help="largest candidate count the search may enumerate",
     )
     _add_common(p)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iterproduct
 
-from .spaces import FiniteSpace, ProductSpace
+from ._frozen import Frozen
+from .spaces import FiniteSpace, ProductSpace, _product_space
 from .tnorms import TNorm
 from .capacities import (
     Capacity,
@@ -53,7 +54,7 @@ class SearchBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-class Game:
+class Game(Frozen):
     """An n-player game with [0,1] payoffs, n >= 2.
 
     strategy_spaces: one FiniteSpace per player.
@@ -72,7 +73,7 @@ class Game:
         for s in spaces:
             if not isinstance(s, FiniteSpace):
                 raise ValueError("strategy spaces must be FiniteSpace instances")
-        prod = ProductSpace(spaces)
+        prod = _product_space(spaces)
         payoffs = list(payoffs)
         if len(payoffs) != len(spaces):
             raise ValueError(
@@ -125,14 +126,11 @@ class Game:
             self,
             "_opponents",
             tuple(
-                ProductSpace([s for j, s in enumerate(spaces) if j != i])
+                _product_space(spaces[:i] + spaces[i + 1:])
                 for i in range(len(spaces))
             ),
         )
         object.__setattr__(self, "_slices", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Game is immutable")
 
     @property
     def players(self) -> int:
@@ -218,7 +216,7 @@ def best_response(game: Game, i: int, belief, star: TNorm, tol=0) -> tuple[str, 
     )
 
 
-class BeliefProfile:
+class BeliefProfile(Frozen):
     """One capacity per player on that player's opponent product space."""
 
     __slots__ = ("game", "beliefs")
@@ -236,9 +234,6 @@ class BeliefProfile:
         object.__setattr__(self, "game", game)
         object.__setattr__(self, "beliefs", beliefs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BeliefProfile is immutable")
-
     def __iter__(self):
         return iter(self.beliefs)
 
@@ -246,7 +241,7 @@ class BeliefProfile:
         return self.beliefs[i]
 
 
-class StrategyProfile:
+class StrategyProfile(Frozen):
     """One capacity per player on that player's own strategy space."""
 
     __slots__ = ("game", "capacities")
@@ -265,9 +260,6 @@ class StrategyProfile:
                 )
         object.__setattr__(self, "game", game)
         object.__setattr__(self, "capacities", capacities)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StrategyProfile is immutable")
 
     def __iter__(self):
         return iter(self.capacities)

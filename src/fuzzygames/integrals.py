@@ -13,15 +13,17 @@ with 0.  With star = min this is the classical Sugeno integral.
 
 from __future__ import annotations
 
+from ._frozen import Value
 from .spaces import FiniteSpace
 from .tnorms import MINIMUM, TNorm
 from .capacities import PossibilityCapacity
 
 
-class FuzzyFunction:
+class FuzzyFunction(Value):
     """A [0,1]-valued function on a finite space, stored pointwise."""
 
     __slots__ = ("space", "values")
+    _fields = ("space", "values")
 
     def __init__(self, space, values):
         if not isinstance(space, FiniteSpace):
@@ -35,9 +37,6 @@ class FuzzyFunction:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", values)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FuzzyFunction is immutable")
-
     def __call__(self, label: str):
         return self.values[self.space.index(label)]
 
@@ -48,16 +47,6 @@ class FuzzyFunction:
             if v >= t:
                 mask |= 1 << k
         return mask
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FuzzyFunction)
-            and self.space == other.space
-            and self.values == other.values
-        )
-
-    def __repr__(self):
-        return f"FuzzyFunction({self.space!r}, {list(self.values)!r})"
 
 
 def level_set(f: FuzzyFunction, t) -> int:

@@ -5,12 +5,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product as _iterproduct
 
+from ._frozen import Value
+
 # General (table-backed) capacities materialize all 2^n subset values, so the
 # space size is capped.  Density-backed capacities carry no such limit.
 GENERAL_TABLE_MAX_ELEMENTS = 20
 
 
-class FiniteSpace:
+class FiniteSpace(Value):
     """An ordered finite set of distinct labels.
 
     Subsets are encoded as bitmasks over the label order: bit k of a mask
@@ -19,6 +21,7 @@ class FiniteSpace:
     """
 
     __slots__ = ("labels", "full_mask", "_index")
+    _fields = ("labels",)
 
     def __init__(self, labels):
         labels = tuple(labels)
@@ -35,9 +38,6 @@ class FiniteSpace:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "full_mask", (1 << len(labels)) - 1)
         object.__setattr__(self, "_index", {name: k for k, name in enumerate(labels)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteSpace is immutable")
 
     @property
     def size(self) -> int:
@@ -66,17 +66,8 @@ class FiniteSpace:
         """All subset masks, empty set first, whole space last."""
         return range(1 << len(self.labels))
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteSpace) and self.labels == other.labels
 
-    def __hash__(self):
-        return hash(self.labels)
-
-    def __repr__(self):
-        return f"FiniteSpace({list(self.labels)!r})"
-
-
-class ProductSpace:
+class ProductSpace(Value):
     """Cartesian product of finite spaces, flattened row-major.
 
     The flat index of coordinates (i1, ..., ik) is (((i1 * n2) + i2) * n3 + i3)
@@ -85,6 +76,7 @@ class ProductSpace:
     """
 
     __slots__ = ("factors", "space", "_strides")
+    _fields = ("factors",)
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -116,9 +108,6 @@ class ProductSpace:
                     "'|' can collide"
                 ) from None
         object.__setattr__(self, "space", flat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProductSpace is immutable")
 
     @property
     def size(self) -> int:
@@ -161,21 +150,14 @@ class ProductSpace:
             mask |= 1 << self.index_of(coords)
         return mask
 
-    def __eq__(self, other):
-        return isinstance(other, ProductSpace) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
-
-    def __repr__(self):
-        return f"ProductSpace({list(self.factors)!r})"
-
 
 @lru_cache(maxsize=256)
 def _product_space(factors: tuple) -> ProductSpace:
     """The ProductSpace of a tuple of factor spaces, shared between calls.
 
-    Tensor products rebuild the same few products over and over; the cache
-    keeps the 256 most recently used.
+    Games and tensor products rebuild the same few products over and over.
+    Sharing them also makes a belief built by tensor_n live on its game's
+    own opponent space object, so comparing the two is an identity test.
+    The cache keeps the 256 most recently used.
     """
     return ProductSpace(factors)

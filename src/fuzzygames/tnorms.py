@@ -17,18 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import Value
 
-class TNorm:
+
+class TNorm(Value):
     """A validated t-norm.  Use tnorm(name) or TNorm.from_function."""
 
     __slots__ = ("name", "_fn")
+    _fields = ("name",)
 
     def __init__(self, name, fn):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_fn", fn)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TNorm is immutable")
 
     def __call__(self, a, b):
         if not (0 <= a <= 1) or not (0 <= b <= 1):
@@ -36,15 +36,6 @@ class TNorm:
                 f"t-norm arguments must lie in [0,1], got ({a!r}, {b!r})"
             )
         return self._fn(a, b)
-
-    def __repr__(self):
-        return f"TNorm({self.name!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, TNorm) and self.name == other.name
-
-    def __hash__(self):
-        return hash((TNorm, self.name))
 
     @classmethod
     def from_function(cls, name, fn, grid_resolution=33, max_step=Fraction(1, 5)):

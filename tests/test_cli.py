@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from fuzzygames import load_capacity
-from fuzzygames.cli import main
+from fuzzygames.cli import build_parser, main
+from fuzzygames.games import DEFAULT_SEARCH_BUDGET
 
 GAME1 = {
     "players": 2,
@@ -359,6 +360,13 @@ class TestVerify:
 
 
 class TestSearch:
+    def test_budget_defaults_to_the_library_budget(self):
+        args = build_parser().parse_args(
+            ["search", "--game", "g.json", "--payoff-tnorm", "min",
+             "--tensor-tnorm", "min"]
+        )
+        assert args.budget == DEFAULT_SEARCH_BUDGET
+
     def test_grid_two(self, files, capsys):
         code = main(
             [

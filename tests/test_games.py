@@ -115,6 +115,19 @@ class TestGameConstruction:
         with pytest.raises(ValueError, match="out of range"):
             g.opponent_space(-1)
 
+    @pytest.mark.parametrize("ast", TNORMS, ids=lambda t: t.name)
+    def test_opponent_spaces_are_the_tensor_spaces(self, ast):
+        # beliefs built by tensor_n live on the very space object the game
+        # holds, so checking a belief's space takes the identity shortcut
+        spaces = (AB, FiniteSpace(("x", "y")), FiniteSpace(("u", "v", "w")))
+        game = Game(spaces, [[1] * 12] * 3)
+        caps = [PossibilityCapacity(s, (1,) + (H,) * (s.size - 1)) for s in spaces]
+        for i in range(3):
+            others = [c for j, c in enumerate(caps) if j != i]
+            for factors in (others, [c.dual() for c in others]):
+                belief = tensor_n(factors, ast)
+                assert game.opponent_space(i).space is belief.space
+
 
 class TestRestriction:
     def test_two_player_slices(self):

@@ -1,0 +1,160 @@
+"""Value semantics and immutability of the core classes.
+
+Spaces, t-norms, capacities and fuzzy functions are values: two of them are
+equal when they have the same class and equal fields, equal values hash
+equal, and each prints in constructor form.  Games and profiles are
+immutable too, but compare by identity.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from fuzzygames import (
+    BeliefProfile,
+    Capacity,
+    FiniteSpace,
+    FuzzyFunction,
+    Game,
+    MINIMUM,
+    NecessityCapacity,
+    PRODUCT,
+    PossibilityCapacity,
+    ProductSpace,
+    StrategyProfile,
+    TNorm,
+    same_capacity,
+    tnorm,
+)
+
+H = Fraction(1, 2)
+AB = FiniteSpace(("a", "b"))
+XY = FiniteSpace(("x", "y"))
+POSS = PossibilityCapacity(AB, (1, H))
+GAME = Game((AB, XY), ([0, H, H, 1], [1, H, H, 0]))
+BELIEFS = (PossibilityCapacity(XY, (1, H)), POSS)
+
+# per core class: a builder of a fresh instance, and one of its attributes
+# (fresh, so that a deletion that wrongly succeeds harms no shared object)
+IMMUTABLE = {
+    "FiniteSpace": (lambda: FiniteSpace(["a", "b"]), "labels"),
+    "ProductSpace": (lambda: ProductSpace([AB, XY]), "factors"),
+    "TNorm": (lambda: TNorm("min", min), "name"),
+    "Capacity": (lambda: Capacity(AB, [0, H, 0, 1]), "values"),
+    "PossibilityCapacity": (lambda: PossibilityCapacity(AB, (1, H)), "density"),
+    "NecessityCapacity": (lambda: NecessityCapacity(POSS), "conjugate"),
+    "FuzzyFunction": (lambda: FuzzyFunction(AB, (0, H)), "values"),
+    "Game": (lambda: Game((AB, XY), ([0, H, H, 1], [1, H, H, 0])), "payoffs"),
+    "BeliefProfile": (lambda: BeliefProfile(GAME, BELIEFS), "beliefs"),
+    "StrategyProfile": (
+        lambda: StrategyProfile(GAME, (POSS, PossibilityCapacity(XY, (H, 1)))),
+        "capacities",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, attr", IMMUTABLE.values(), ids=IMMUTABLE.keys())
+def test_attributes_cannot_be_set_or_deleted(make, attr):
+    obj = make()
+    message = f"^{type(obj).__name__} is immutable$"
+    before = getattr(obj, attr)
+    with pytest.raises(AttributeError, match=message):
+        setattr(obj, attr, before)
+    with pytest.raises(AttributeError, match=message):
+        delattr(obj, attr)
+    with pytest.raises(AttributeError, match=message):
+        obj.extra = 1
+    assert getattr(obj, attr) is before
+    assert not hasattr(obj, "__dict__")
+
+
+def _ab():
+    return FiniteSpace(["a", "b"])
+
+
+# per value class: a builder of fresh equal values, and a different value
+VALUES = {
+    "FiniteSpace": (_ab, FiniteSpace(["b", "a"])),
+    "ProductSpace": (lambda: ProductSpace([_ab(), XY]), ProductSpace([XY, AB])),
+    "TNorm": (lambda: TNorm("min", min), PRODUCT),
+    "Capacity": (
+        lambda: Capacity(_ab(), [0, H, 0, 1]),
+        Capacity(AB, [0, H, H, 1]),
+    ),
+    "PossibilityCapacity": (
+        lambda: PossibilityCapacity(_ab(), [1, H]),
+        PossibilityCapacity(AB, (H, 1)),
+    ),
+    "NecessityCapacity": (
+        lambda: PossibilityCapacity(_ab(), [1, H]).dual(),
+        NecessityCapacity(PossibilityCapacity(AB, (H, 1))),
+    ),
+    "FuzzyFunction": (
+        lambda: FuzzyFunction(_ab(), [0, H]),
+        FuzzyFunction(AB, (H, 0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("make, other", VALUES.values(), ids=VALUES.keys())
+def test_equality_is_by_fields(make, other):
+    a, b = make(), make()
+    assert a == b and not a != b
+    assert a == a
+    assert a != other and not a == other
+    assert a != "a"
+
+
+@pytest.mark.parametrize("make, other", VALUES.values(), ids=VALUES.keys())
+def test_equal_values_hash_equal(make, other):
+    a, b = make(), make()
+    assert a is not b
+    assert hash(a) == hash(b)
+    assert {a: "first"}[b] == "first"
+    assert len({a, b, other}) == 2
+
+
+def test_equality_needs_the_same_class():
+    general = POSS.as_general()
+    assert same_capacity(POSS, general)
+    assert POSS != general and general != POSS
+    nec = POSS.dual()
+    table = nec.as_general()
+    assert same_capacity(nec, table)
+    assert nec != table and table != nec
+    # a one-factor product flattens to its factor but is not the factor
+    assert ProductSpace([AB]).space is AB
+    assert ProductSpace([AB]) != AB
+
+
+def test_tnorm_equality_is_by_name():
+    assert TNorm("min", lambda a, b: a * b) == MINIMUM == tnorm("minimum")
+    assert hash(TNorm("min", lambda a, b: a * b)) == hash(MINIMUM)
+    assert TNorm("other", min) != MINIMUM
+
+
+def test_reprs_are_constructor_forms():
+    ab = "FiniteSpace(['a', 'b'])"
+    poss = f"PossibilityCapacity({ab}, [1, Fraction(1, 2)])"
+    assert repr(AB) == ab
+    assert repr(ProductSpace([AB, XY])) == (
+        f"ProductSpace([{ab}, FiniteSpace(['x', 'y'])])"
+    )
+    assert repr(MINIMUM) == "TNorm('min')"
+    assert repr(Capacity(AB, [0, H, 0, 1])) == (
+        f"Capacity({ab}, [0, Fraction(1, 2), 0, 1])"
+    )
+    assert repr(POSS) == poss
+    assert repr(POSS.dual()) == f"NecessityCapacity({poss})"
+    assert repr(FuzzyFunction(AB, (0, H))) == (
+        f"FuzzyFunction({ab}, [0, Fraction(1, 2)])"
+    )
+
+
+def test_games_and_profiles_compare_by_identity():
+    twin = Game((AB, XY), ([0, H, H, 1], [1, H, H, 0]))
+    assert GAME == GAME and GAME != twin
+    assert len({GAME, twin}) == 2
+    assert BeliefProfile(GAME, BELIEFS) != BeliefProfile(GAME, BELIEFS)
+    caps = (POSS, PossibilityCapacity(XY, (H, 1)))
+    assert StrategyProfile(GAME, caps) != StrategyProfile(GAME, caps)
