@@ -1,9 +1,10 @@
 """Immutable bases for the core classes.
 
 Frozen instances refuse every attribute assignment and deletion; their
-constructors set slots through object.__setattr__.  Value adds equality,
-hashing and a constructor-form repr, all read from the class's _fields:
-two values are equal when they have the same class and equal fields.
+constructors set slots through object.__setattr__.  Copies and pickles pass
+the _fields back to the constructor, which validates them.  Value adds
+equality, hashing and a constructor-form repr, all read from the class's
+_fields: two values are equal when they have the same class and equal fields.
 
 These are plain bases, not frozen dataclasses, because decorating each class
 costs time on every fresh import.
@@ -22,6 +23,9 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 class Value(Frozen):

@@ -29,27 +29,25 @@ from .games import (
     verify_capacity_nash,
     verify_equilibrium,
 )
-from .integrals import FuzzyFunction, tnormed_integral
+from .integrals import tnormed_integral
 from .tensors import tensor_n
 from .tnorms import tnorm
 from .worked_examples import reference_report
 
 
-def _add_common(sub, *, numeric=True, fmt=True):
-    if numeric:
-        sub.add_argument(
-            "--numeric",
-            choices=("rational", "float"),
-            default="rational",
-            help="exact fractions (default) or binary floats with 1e-9 tolerance",
-        )
-    if fmt:
-        sub.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default="text",
-            help="human-readable text (default) or JSON",
-        )
+def _add_common(sub):
+    sub.add_argument(
+        "--numeric",
+        choices=("rational", "float"),
+        default="rational",
+        help="exact fractions (default) or binary floats with 1e-9 tolerance",
+    )
+    sub.add_argument(
+        "--format",
+        choices=("text", "json"),
+        default="text",
+        help="human-readable text (default) or JSON",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,6 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _player_index(game, number: int) -> int:
+    if not 1 <= number <= game.players:
+        raise ValueError(
+            f"--player {number} out of range for a {game.players}-player game"
+        )
+    return number - 1
+
+
 def _cmd_integrate(args) -> int:
     star = tnorm(args.tnorm)
     cap = load_capacity(args.capacity, args.numeric)
@@ -175,13 +181,8 @@ def _cmd_integrate(args) -> int:
     game = load_game(args.game, args.numeric)
     players = range(game.players)
     if args.player is not None:
-        idx = args.player - 1
-        game.check_player(idx)
-        players = [idx]
-    results = {}
-    for i in players:
-        f = FuzzyFunction(game.product.space, game.payoffs[i])
-        results[i] = tnormed_integral(f, cap, star)
+        players = [_player_index(game, args.player)]
+    results = {i: tnormed_integral(game._functions[i], cap, star) for i in players}
     if args.format == "json":
         print(
             json.dumps(
@@ -228,8 +229,7 @@ def _cmd_tensor(args) -> int:
 def _cmd_best_response(args) -> int:
     star = tnorm(args.tnorm)
     game = load_game(args.game, args.numeric)
-    i = args.player - 1
-    game.check_player(i)
+    i = _player_index(game, args.player)
     belief = load_capacity(args.belief, args.numeric)
     responses = best_response(
         game, i, belief, star, tol=numeric_tolerance(args.numeric)

@@ -162,7 +162,7 @@ def dump_capacity(cap) -> dict:
 
 def load_game(source, numeric: str = "rational") -> Game:
     """Read a game from a path or a parsed JSON object."""
-    tol = numeric_tolerance(numeric)
+    numeric_tolerance(numeric)
     doc = _as_document(source, "game")
     strategies = doc.get("strategies")
     if not isinstance(strategies, list) or not strategies:
@@ -192,7 +192,7 @@ def load_game(source, numeric: str = "rational") -> Game:
                 parse_unit(raw, f"payoffs[{i}] at {key!r}"), numeric
             )
         tables.append(table)
-    return Game(spaces, tables, tol=tol)
+    return Game(spaces, tables)
 
 
 def dump_game(game: Game) -> dict:

@@ -60,11 +60,12 @@ class Game(Frozen):
     strategy_spaces: one FiniteSpace per player.
     payoffs: per player, either a mapping from label tuples to values or a
     flat sequence over the strategy product in row-major order.  Every payoff
-    must lie in [0,1] in both numeric modes; tol is accepted for symmetry
-    with the capacity constructors and loosens nothing here.
+    must lie in [0,1] in both numeric modes.  tol is ignored and kept for
+    compatibility.  Every payoff table and slice is built here, once.
     """
 
-    __slots__ = ("spaces", "payoffs", "product", "_opponents", "_slices")
+    __slots__ = ("spaces", "payoffs", "product", "_opponents", "_functions", "_slices")
+    _fields = ("spaces", "payoffs")
 
     def __init__(self, strategy_spaces, payoffs, tol=0):
         spaces = tuple(strategy_spaces)
@@ -79,7 +80,7 @@ class Game(Frozen):
             raise ValueError(
                 f"need one payoff table per player, got {len(payoffs)}"
             )
-        tables = []
+        functions = []
         for i, table in enumerate(payoffs):
             if hasattr(table, "keys"):
                 flat = [None] * prod.size
@@ -112,25 +113,28 @@ class Game(Frozen):
                         f"payoff table of player {i} needs {prod.size} entries, "
                         f"got {len(table)}"
                     )
-            for idx, v in enumerate(table):
-                if not 0 <= v <= 1:
-                    raise ValueError(
-                        f"payoff of player {i} at "
-                        f"{prod.space.labels[idx]!r} is {v!r}, outside [0,1]"
-                    )
-            tables.append(tuple(table))
-        object.__setattr__(self, "spaces", spaces)
-        object.__setattr__(self, "payoffs", tuple(tables))
-        object.__setattr__(self, "product", prod)
-        object.__setattr__(
-            self,
-            "_opponents",
-            tuple(
-                _product_space(spaces[:i] + spaces[i + 1:])
-                for i in range(len(spaces))
-            ),
+            try:
+                functions.append(FuzzyFunction(prod.space, table))
+            except ValueError as e:
+                raise ValueError(f"payoff of player {i}: {e}") from None
+        opponents = tuple(
+            _product_space(spaces[:i] + spaces[i + 1:])
+            for i in range(len(spaces))
         )
-        object.__setattr__(self, "_slices", {})
+        cells = list(_iterproduct(*(range(s.size) for s in spaces)))
+        slices = []
+        for i, f in enumerate(functions):
+            # dropping coordinate i keeps row-major order
+            rows = [[] for _ in range(spaces[i].size)]
+            for coords, v in zip(cells, f.values):
+                rows[coords[i]].append(v)
+            slices.append(tuple(FuzzyFunction(opponents[i].space, r) for r in rows))
+        object.__setattr__(self, "spaces", spaces)
+        object.__setattr__(self, "payoffs", tuple(f.values for f in functions))
+        object.__setattr__(self, "product", prod)
+        object.__setattr__(self, "_opponents", opponents)
+        object.__setattr__(self, "_functions", tuple(functions))
+        object.__setattr__(self, "_slices", tuple(slices))
 
     @property
     def players(self) -> int:
@@ -156,23 +160,6 @@ class Game(Frozen):
         )
         return self.payoffs[i][self.product.index_of(coords)]
 
-    def restricted_values(self, i: int, xi: int) -> tuple:
-        """Payoff slice of player i with own strategy fixed, over opponents."""
-        key = (i, xi)
-        cached = self._slices.get(key)
-        if cached is not None:
-            return cached
-        opp = self._opponents[i]
-        table = self.payoffs[i]
-        out = []
-        for o in range(opp.size):
-            coords = list(opp.coords_of(o))
-            coords.insert(i, xi)
-            out.append(table[self.product.index_of(coords)])
-        out = tuple(out)
-        self._slices[key] = out
-        return out
-
 
 def _strategy_index(game: Game, i: int, strategy) -> int:
     if isinstance(strategy, int):
@@ -185,29 +172,29 @@ def _strategy_index(game: Game, i: int, strategy) -> int:
 def restricted_payoff(game: Game, i: int, strategy) -> FuzzyFunction:
     """Player i's payoff as a function on the opponents' product space."""
     game.check_player(i)
-    xi = _strategy_index(game, i, strategy)
-    opp = game.opponent_space(i)
-    return FuzzyFunction(opp.space, game.restricted_values(i, xi))
+    return game._slices[i][_strategy_index(game, i, strategy)]
+
+
+def _check_belief(game: Game, i: int, belief) -> None:
+    expected = game.opponent_space(i).space
+    if belief.space != expected:
+        raise ValueError(
+            f"belief of player {i} lives on {belief.space}, expected the "
+            f"opponent space {expected}"
+        )
 
 
 def expected_payoff(game: Game, i: int, strategy, belief, star: TNorm):
     """t-normed integral of the payoff slice against the player's belief."""
-    game.check_player(i)
-    if belief.space != game.opponent_space(i).space:
-        raise ValueError(
-            f"belief of player {i} lives on {belief.space}, expected the "
-            f"opponent space {game.opponent_space(i).space}"
-        )
+    _check_belief(game, i, belief)
     return tnormed_integral(restricted_payoff(game, i, strategy), belief, star)
 
 
 def best_response(game: Game, i: int, belief, star: TNorm, tol=0) -> tuple[str, ...]:
     """All strategies of player i whose expected payoff attains the maximum."""
-    game.check_player(i)
+    _check_belief(game, i, belief)
     space = game.spaces[i]
-    scores = [
-        expected_payoff(game, i, xi, belief, star) for xi in range(space.size)
-    ]
+    scores = [tnormed_integral(f, belief, star) for f in game._slices[i]]
     top = max(scores)
     return tuple(
         label
@@ -220,17 +207,14 @@ class BeliefProfile(Frozen):
     """One capacity per player on that player's opponent product space."""
 
     __slots__ = ("game", "beliefs")
+    _fields = ("game", "beliefs")
 
     def __init__(self, game: Game, beliefs):
         beliefs = tuple(beliefs)
         if len(beliefs) != game.players:
             raise ValueError(f"need {game.players} beliefs, got {len(beliefs)}")
         for i, b in enumerate(beliefs):
-            expected = game.opponent_space(i).space
-            if b.space != expected:
-                raise ValueError(
-                    f"belief of player {i} lives on {b.space}, expected {expected}"
-                )
+            _check_belief(game, i, b)
         object.__setattr__(self, "game", game)
         object.__setattr__(self, "beliefs", beliefs)
 
@@ -245,6 +229,7 @@ class StrategyProfile(Frozen):
     """One capacity per player on that player's own strategy space."""
 
     __slots__ = ("game", "capacities")
+    _fields = ("game", "capacities")
 
     def __init__(self, game: Game, capacities):
         capacities = tuple(capacities)
@@ -506,8 +491,7 @@ def mixed_expected_payoff(
             "mixed expected payoff is defined for possibility profiles only"
         )
     joint = tensor_n(list(profile), ast, tol=tol)
-    f = FuzzyFunction(game.product.space, game.payoffs[i])
-    return tnormed_integral(f, joint, star)
+    return tnormed_integral(game._functions[i], joint, star)
 
 
 @dataclass(frozen=True)
@@ -534,7 +518,8 @@ def verify_capacity_nash(
 
     The greatest capacity dominates every capacity on the player's space, and
     payoffs are monotone in each profile slot, so the swap bounds every
-    single-player deviation at once.
+    single-player deviation at once.  Each bound folds the swapped list the
+    way mixed_expected_payoff folds a profile.
     """
     if not isinstance(profile, StrategyProfile):
         profile = StrategyProfile(game, profile)
@@ -542,16 +527,15 @@ def verify_capacity_nash(
         raise ValueError(
             "the capacity equilibrium check supports possibility profiles only"
         )
+    caps = list(profile)
+    joint = tensor_n(caps, ast, tol=tol)
     payoffs = []
     bounds = []
     gaps = []
-    for i in range(game.players):
-        own = mixed_expected_payoff(game, i, profile, star, ast, tol=tol)
-        swapped = list(profile)
-        swapped[i] = greatest_capacity(game.spaces[i])
-        bound = mixed_expected_payoff(
-            game, i, StrategyProfile(game, swapped), star, ast, tol=tol
-        )
+    for i, f in enumerate(game._functions):
+        own = tnormed_integral(f, joint, star)
+        swapped = caps[:i] + [greatest_capacity(game.spaces[i])] + caps[i + 1:]
+        bound = tnormed_integral(f, tensor_n(swapped, ast, tol=tol), star)
         payoffs.append(own)
         bounds.append(bound)
         gaps.append(bound - own)

@@ -247,9 +247,7 @@ def reference_report(
 
 def _float_game(game: Game) -> Game:
     return Game(
-        game.spaces,
-        [[float(v) for v in table] for table in game.payoffs],
-        tol=1e-9,
+        game.spaces, [[float(v) for v in table] for table in game.payoffs]
     )
 
 

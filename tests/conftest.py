@@ -7,8 +7,9 @@ density algebra over label tuples.  Tests compare library results against
 these slower routes.  More keep the direct forms of work the library
 shares: a search that checks every candidate from scratch, a t-norm law
 sweep that calls the operation for every associativity term, a slice tensor
-that reads both factors anew for every subset, and the covering-pair
-monotonicity sweep in mask order.
+that reads both factors anew for every subset, the covering-pair
+monotonicity sweep in mask order, payoff slices read cell by cell through
+coordinates, and a capacity Nash check that builds every swapped profile.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pytest
 
 from fuzzygames import (
     Capacity,
+    NashReport,
     FiniteSpace,
     FuzzyFunction,
     Game,
@@ -28,7 +30,9 @@ from fuzzygames import (
     PossibilityCapacity,
     ProductSpace,
     StrategyProfile,
+    greatest_capacity,
     induced_beliefs,
+    mixed_expected_payoff,
     verify_equilibrium,
 )
 from fuzzygames.integrals import _level_maximum
@@ -329,3 +333,50 @@ def first_monotonicity_failure(space, values, tol=0):
                     (small, large),
                 )
     return None
+
+
+def slices_by_coords(game: Game, i: int):
+    """Player i's payoff slices, one value tuple per strategy, cell by cell.
+
+    Each opponent point is turned into coordinates, player i's strategy is
+    inserted, and the full table is read at that flat index; the library
+    cuts the row-major table into blocks instead.
+    """
+    opp = game.opponent_space(i)
+    out = []
+    for xi in range(game.spaces[i].size):
+        row = []
+        for o in range(opp.size):
+            coords = list(opp.coords_of(o))
+            coords.insert(i, xi)
+            row.append(game.payoffs[i][game.product.index_of(coords)])
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def capacity_nash_by_swaps(game: Game, profile, star, ast, tol=0) -> NashReport:
+    """verify_capacity_nash with two mixed_expected_payoff calls per player.
+
+    Each bound wraps the swapped capacities in a StrategyProfile and folds
+    its joint tensor from scratch, so 2n tensors are built; the library
+    builds the profile's joint once and n swapped ones.
+    """
+    payoffs, bounds, gaps = [], [], []
+    for i in range(game.players):
+        own = mixed_expected_payoff(game, i, profile, star, ast, tol=tol)
+        swapped = list(profile)
+        swapped[i] = greatest_capacity(game.spaces[i])
+        bound = mixed_expected_payoff(
+            game, i, StrategyProfile(game, swapped), star, ast, tol=tol
+        )
+        payoffs.append(own)
+        bounds.append(bound)
+        gaps.append(bound - own)
+    return NashReport(
+        payoffs=tuple(payoffs),
+        deviation_bounds=tuple(bounds),
+        gaps=tuple(gaps),
+        verdict=all(g <= tol for g in gaps),
+        payoff_tnorm=star.name,
+        tensor_tnorm=ast.name,
+    )

@@ -124,6 +124,22 @@ class TestIntegrate:
         assert code == 0
         assert json.loads(capsys.readouterr().out) == {"player 2": "1/2"}
 
+    @pytest.mark.parametrize("number", [0, 3])
+    def test_player_out_of_range_is_named_as_typed(self, files, capsys, number):
+        code = main(
+            [
+                "integrate",
+                "--game", files["game1"],
+                "--capacity", files["joint"],
+                "--tnorm", "min",
+                "--player", str(number),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --player {number} out of range for a 2-player game\n"
+        )
+
     def test_player_without_game(self, files, capsys):
         code = main(
             [
@@ -295,6 +311,22 @@ class TestBestResponse:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("number", [0, 3])
+    def test_player_out_of_range_is_named_as_typed(self, files, capsys, number):
+        code = main(
+            [
+                "best-response",
+                "--game", files["game1"],
+                "--player", str(number),
+                "--belief", files["belief1"],
+                "--tnorm", "min",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --player {number} out of range for a 2-player game\n"
+        )
 
 
 class TestVerify:

@@ -34,7 +34,16 @@ from fuzzygames import (
     verify_capacity_nash,
     verify_equilibrium,
 )
-from conftest import brute_force_certificate, per_candidate_search, random_game
+from fuzzygames.integrals import FuzzyFunction
+
+from conftest import (
+    brute_force_certificate,
+    capacity_nash_by_swaps,
+    per_candidate_search,
+    random_game,
+    random_possibility,
+    slices_by_coords,
+)
 
 H = Fraction(1, 2)
 AB = FiniteSpace(("a", "b"))
@@ -103,6 +112,19 @@ class TestGameConstruction:
             Game((AB, AB), ([1 + 5e-10, 0, 0, H], [0, H, H, 0]), tol=1e-9)
         with pytest.raises(ValueError, match="entries"):
             Game((AB, AB), ([H, 0, 0], [0, H, H, 0]))
+
+    def test_range_error_names_the_player_and_the_point(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^payoff of player 1: value of 'b\|a' is 2, outside \[0,1\]$",
+        ):
+            Game((AB, AB), ([0, H, H, 0], [H, 0, 2, H]))
+        table = {("a", "a"): -0.5, ("a", "b"): 0, ("b", "a"): 0, ("b", "b"): H}
+        with pytest.raises(
+            ValueError,
+            match=r"^payoff of player 0: value of 'a\|a' is -0\.5, outside",
+        ):
+            Game((AB, AB), (table, [0, H, H, 0]))
 
     def test_needs_two_players(self):
         with pytest.raises(ValueError, match="two players"):
@@ -703,3 +725,75 @@ class TestFactoredSearch:
         assert counts["integrals"] <= sum(
             s.size * m for s, m in zip(g.spaces, per_opponents)
         )
+
+
+class TestStoredPayoffs:
+    """The game builds each payoff table and slice once; everything reads them."""
+
+    SIZES = [(2, 3), (3, 1), (2, 3, 2), (1, 2, 3), (2, 1, 2, 3), (3, 2, 2, 2)]
+
+    def _games(self, numeric):
+        rng = random.Random(61)
+        for sizes in self.SIZES:
+            g = random_game(rng, players=len(sizes), sizes=list(sizes), denom=6)
+            profile = [random_possibility(s, rng, denom=6) for s in g.spaces]
+            tol = 0
+            if numeric == "float":
+                g, tol = _float_game(g), 1e-9
+                profile = [
+                    PossibilityCapacity(c.space, map(float, c.density), tol=tol)
+                    for c in profile
+                ]
+            yield g, StrategyProfile(g, profile), tol
+
+    @pytest.mark.parametrize("numeric", ["exact", "float"])
+    def test_slices_match_the_per_cell_loop(self, numeric):
+        for g, _, _ in self._games(numeric):
+            for i in range(g.players):
+                expected = slices_by_coords(g, i)
+                for xi, values in enumerate(expected):
+                    f = restricted_payoff(g, i, xi)
+                    assert f.space is g.opponent_space(i).space
+                    assert f.values == values
+                    assert list(map(type, f.values)) == list(map(type, values))
+                    assert restricted_payoff(g, i, xi) is f
+
+    @pytest.mark.parametrize("numeric", ["exact", "float"])
+    def test_nash_reports_match_the_swap_loop(self, numeric):
+        for g, profile, tol in self._games(numeric):
+            for star in TNORMS:
+                for ast in TNORMS:
+                    got = verify_capacity_nash(g, profile, star, ast, tol=tol)
+                    ref = capacity_nash_by_swaps(g, profile, star, ast, tol=tol)
+                    assert got == ref
+                    for field in ("payoffs", "deviation_bounds", "gaps"):
+                        assert list(map(type, getattr(got, field))) == list(
+                            map(type, getattr(ref, field))
+                        )
+
+    def test_no_payoff_function_is_built_after_the_game(self, monkeypatch):
+        g = random_game(random.Random(5), players=3, sizes=[2, 2, 3])
+        profile = StrategyProfile(
+            g, [random_possibility(s, random.Random(6)) for s in g.spaces]
+        )
+        built = []
+        init = FuzzyFunction.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FuzzyFunction, "__init__", counting)
+        tensors = []
+        monkeypatch.setattr(
+            games_module, "tensor_n",
+            lambda *a, **k: tensors.append(a) or tensor_n(*a, **k),
+        )
+        for mode in ("indicator", "grid:2", "necessity"):
+            search_equilibria(g, PRODUCT, LUKASIEWICZ, mode=mode)
+        verify_equilibrium(g, induced_beliefs(profile, MINIMUM), PRODUCT)
+        assert built == []
+        tensors.clear()
+        verify_capacity_nash(g, profile, PRODUCT, LUKASIEWICZ)
+        assert len(tensors) == g.players + 1
+        assert built == []

@@ -3,9 +3,12 @@
 Spaces, t-norms, capacities and fuzzy functions are values: two of them are
 equal when they have the same class and equal fields, equal values hash
 equal, and each prints in constructor form.  Games and profiles are
-immutable too, but compare by identity.
+immutable too, but compare by identity.  Copies and pickles of all ten are
+rebuilt through their constructors.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -26,6 +29,8 @@ from fuzzygames import (
     same_capacity,
     tnorm,
 )
+
+from conftest import hamacher
 
 H = Fraction(1, 2)
 AB = FiniteSpace(("a", "b"))
@@ -158,3 +163,39 @@ def test_games_and_profiles_compare_by_identity():
     assert BeliefProfile(GAME, BELIEFS) != BeliefProfile(GAME, BELIEFS)
     caps = (POSS, PossibilityCapacity(XY, (H, 1)))
     assert StrategyProfile(GAME, caps) != StrategyProfile(GAME, caps)
+
+
+def _same_game(a, b):
+    assert a.spaces == b.spaces and a.payoffs == b.payoffs
+    assert a._slices == b._slices
+
+
+def _round_trips(obj):
+    yield copy.copy(obj)
+    yield copy.deepcopy(obj)
+    yield pickle.loads(pickle.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "make", [make for make, _ in IMMUTABLE.values()], ids=IMMUTABLE.keys()
+)
+def test_copies_and_pickles_are_rebuilt_equal(make):
+    obj = make()
+    for twin in _round_trips(obj):
+        assert type(twin) is type(obj)
+        if isinstance(obj, Game):
+            _same_game(twin, obj)
+        elif isinstance(obj, (BeliefProfile, StrategyProfile)):
+            _same_game(twin.game, obj.game)
+            assert list(twin) == list(obj)
+        else:
+            assert twin == obj
+            assert repr(twin) == repr(obj)
+
+
+def test_tnorms_pickle_with_their_operation():
+    own = TNorm("hamacher", hamacher)
+    for t in (MINIMUM, PRODUCT, own):
+        for twin in _round_trips(t):
+            assert twin == t and twin._fn is t._fn
+            assert twin(H, H) == t(H, H)
