@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_SEARCH_BUDGET,
-        help="largest candidate count the search may enumerate",
+        help="largest candidate count the search may enumerate (at least 1)",
     )
     _add_common(p)
 

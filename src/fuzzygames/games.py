@@ -356,20 +356,43 @@ def search_equilibria(
     Candidates are enumerated in lexicographic order of the per-player
     density encodings, players ascending, so output order is deterministic.
     An empty result means no equilibrium exists at this resolution; finer
-    grids or the continuum are not ruled out.  If the total candidate count
-    exceeds the budget the search refuses to start; the count is computed in
-    closed form, before any candidate is listed.
+    grids or the continuum are not ruled out.  budget must be a positive
+    int; if the total candidate count exceeds it the search refuses to
+    start.  The count is computed in closed form, before any candidate is
+    listed.  The results and certificates are the ones verify_equilibrium
+    gives on the induced beliefs.
 
-    The work is factored by opponent combination: player i's induced belief,
-    best responses and response mask are computed once per combination of
-    the opponents' candidates and memoized, as is the set outside the
-    product of the opponents' response sets, per combination of their
-    response masks.  A candidate is dropped at its first residual above tol.
-    With C_j player j's candidate list, player i's memo holds at most
-    prod_{j != i} |C_j| entries, that is at most budget / |C_i|; each entry
-    keeps one belief, an n-1 fold tensor.  The results and certificates are
-    the ones verify_equilibrium gives on the induced beliefs.
+    Indicator and necessity candidates have 0/1 densities, and there every
+    t-norm drops out (ast(1, t) = star(1, t) = t, ast(0, t) = 0): player i's
+    belief is the possibility or necessity indicator of P, the product of
+    the opponents' supports, and the expected payoff of a strategy is the
+    maximum (possibility) or the minimum (necessity) of its payoff slice
+    over P, the optimistic and pessimistic qualitative utilities.  Let S_j
+    be player j's support and BR_j the best responses of j to the others'
+    supports.  Player i's residual is 1 when some opponent's S_j leaves
+    BR_j (possibility) or misses it entirely (necessity), and 0 otherwise.
+    Every player is some other player's opponent, so a candidate is an
+    equilibrium exactly when for every player j
+      possibility:  S_j is a subset of BR_j,
+      necessity:    S_j meets BR_j.
+    These searches score each strategy once per combination of opponent
+    supports and test masks; they build no tensor, no capacity table and
+    call no t-norm, and only the returned profiles get capacities.  Their
+    residuals are int 0.  In float mode the tensor route computed the
+    Lukasiewicz star(1, t) as 1 + t - 1, which can differ from t by one
+    ULP; verdicts agree, but best-response scores need not be bit-identical.
+
+    grid:g searches are factored by opponent combination: player i's
+    induced belief, best responses and response mask are computed once per
+    combination of the opponents' candidates and memoized, as is the set
+    outside the product of the opponents' response sets, per combination of
+    their response masks.  A candidate is dropped at its first residual
+    above tol.  With C_j player j's candidate list, player i's memo holds at
+    most prod_{j != i} |C_j| entries, that is at most budget / |C_i|; each
+    entry keeps one belief, an n-1 fold tensor.
     """
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise ValueError(f"search budget must be a positive integer, got {budget!r}")
     mode = str(mode).strip().lower()
     necessity = mode in ("necessity-indicator", "necessity")
     steps = None
@@ -401,16 +424,12 @@ def search_equilibria(
         raise SearchBudgetExceeded(total, budget)
 
     if steps is None:
-        per_player = [_indicator_densities(s.size) for s in game.spaces]
-    else:
-        per_player = [_grid_densities(s.size, steps) for s in game.spaces]
+        return _support_search(game, star, ast, necessity, tol)
 
     caps = [
-        [PossibilityCapacity(space, d) for d in cands]
-        for space, cands in zip(game.spaces, per_player)
+        [PossibilityCapacity(space, d) for d in _grid_densities(space.size, steps)]
+        for space in game.spaces
     ]
-    if necessity:
-        caps = [[c.dual() for c in row] for row in caps]
     n = game.players
     players = range(n)
     # per player: opponents' candidate indices -> (belief, best responses,
@@ -456,6 +475,84 @@ def search_equilibria(
                 tensor_tnorm=ast.name,
             )
             results.append((profile, cert))
+    return results
+
+
+def _support_search(game: Game, star: TNorm, ast: TNorm, necessity: bool, tol):
+    """The indicator and necessity searches, on supports and masks alone.
+
+    See search_equilibria for the closed forms and the two subset rules.
+    """
+    n = game.players
+    players = range(n)
+    # each player's supports, as masks in the order of their 0/1 densities
+    densities = [_indicator_densities(s.size) for s in game.spaces]
+    supports = [
+        [sum(bit << k for k, bit in enumerate(d)) for d in row] for row in densities
+    ]
+    # per player, per opponent (ascending) and support: the support's points
+    # as flat offsets into that player's opponent space, row-major
+    offsets = []
+    for i in players:
+        opp = game._opponents[i]
+        opponents = [j for j in players if j != i]
+        offsets.append([
+            [
+                [x * stride for x in range(f.size) if mask >> x & 1]
+                for mask in supports[j]
+            ]
+            for j, f, stride in zip(opponents, opp.factors, opp._strides)
+        ])
+    score = min if necessity else max
+
+    def respond(i, key):
+        # best responses of player i to the opponents' supports named by key
+        points = [
+            sum(p)
+            for p in _iterproduct(*(offs[k] for offs, k in zip(offsets[i], key)))
+        ]
+        scores = [
+            score(map(f.values.__getitem__, points)) for f in game._slices[i]
+        ]
+        bar = max(scores) - tol
+        best = [k for k, sc in enumerate(scores) if sc >= bar]
+        labels = game.spaces[i].labels
+        return tuple(labels[k] for k in best), sum(1 << k for k in best)
+
+    responses = [{} for _ in players]
+    caps = {}
+    results = []
+    for idx in _iterproduct(*(range(len(row)) for row in supports)):
+        best_sets = []
+        for j in players:
+            key = idx[:j] + idx[j + 1:]
+            entry = responses[j].get(key)
+            if entry is None:
+                entry = responses[j][key] = respond(j, key)
+            own = supports[j][idx[j]]
+            held = own & entry[1]
+            # possibility: S_j within BR_j; necessity: S_j meets BR_j
+            if not (held if necessity else held == own):
+                break
+            best_sets.append(entry[0])
+        else:
+            profile = []
+            for j, k in enumerate(idx):
+                cap = caps.get((j, k))
+                if cap is None:
+                    cap = PossibilityCapacity(game.spaces[j], densities[j][k])
+                    if necessity:
+                        cap = cap.dual()
+                    caps[j, k] = cap
+                profile.append(cap)
+            cert = EquilibriumCertificate(
+                best_responses=tuple(best_sets),
+                residuals=(0,) * n,
+                verdict=True,
+                payoff_tnorm=star.name,
+                tensor_tnorm=ast.name,
+            )
+            results.append((StrategyProfile(game, profile), cert))
     return results
 
 

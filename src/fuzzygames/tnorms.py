@@ -30,10 +30,6 @@ class TNorm(Value):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_fn", fn)
 
-    def __reduce__(self):
-        # the operation is not a field, but the constructor needs it
-        return TNorm, (self.name, self._fn)
-
     def __call__(self, a, b):
         if not (0 <= a <= 1) or not (0 <= b <= 1):
             raise ValueError(

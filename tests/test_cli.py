@@ -457,6 +457,22 @@ class TestSearch:
         assert code == 3
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_exits_two(self, files, capsys, budget):
+        code = main(
+            [
+                "search",
+                "--game", files["game1"],
+                "--payoff-tnorm", "min",
+                "--tensor-tnorm", "min",
+                "--budget", budget,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"search budget must be a positive integer, got {budget}" in captured.err
+
     def test_oversized_grid_exits_three_before_listing(self, files, capsys):
         code = main(
             [

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fuzzygames.games as games_module
+import fuzzygames.integrals as integrals_module
+import fuzzygames.tensors as tensors_module
 
 from fuzzygames import (
     BeliefProfile,
+    Capacity,
     FiniteSpace,
     Game,
     LUKASIEWICZ,
@@ -18,6 +21,7 @@ from fuzzygames import (
     PossibilityCapacity,
     SearchBudgetExceeded,
     StrategyProfile,
+    TNorm,
     best_response,
     example_belief_one,
     example_belief_two,
@@ -39,6 +43,7 @@ from fuzzygames.integrals import FuzzyFunction
 from conftest import (
     brute_force_certificate,
     capacity_nash_by_swaps,
+    hamacher,
     per_candidate_search,
     random_game,
     random_possibility,
@@ -454,6 +459,15 @@ class TestSearch:
                 search_equilibria(game, MINIMUM, MINIMUM, mode=mode)
             assert err.value.candidates == ((1 << 30) - 1) * 3
 
+    @pytest.mark.parametrize("budget", [0, -1, 2.5, "9", True, None])
+    def test_budget_must_be_a_positive_int(self, budget):
+        g = example_game_one()
+        for mode in ("indicator", "grid:2", "necessity"):
+            with pytest.raises(ValueError, match="positive integer"):
+                search_equilibria(g, MINIMUM, MINIMUM, mode=mode, budget=budget)
+        # the smallest budget that holds the 9 candidates still runs
+        assert len(search_equilibria(g, MINIMUM, MINIMUM, budget=9)) == 1
+
     def test_mode_errors(self):
         g = example_game_one()
         with pytest.raises(ValueError, match="unknown search mode"):
@@ -635,20 +649,38 @@ def _float_game(g):
     return Game(g.spaces, [[float(v) for v in t] for t in g.payoffs], tol=1e-9)
 
 
+def _same_types(found, expected):
+    for (p, c), (q, d) in zip(found, expected):
+        for a, b in zip(p, q):
+            density = a.density if a.kind == "possibility" else a.conjugate.density
+            ref = b.density if b.kind == "possibility" else b.conjugate.density
+            assert list(map(type, density)) == list(map(type, ref))
+        assert list(map(type, c.residuals)) == list(map(type, d.residuals))
+
+
 def _same_search(game, star, ast, mode, tol):
     found = search_equilibria(game, star, ast, mode=mode, tol=tol)
     expected = per_candidate_search(game, star, ast, mode=mode, tol=tol)
     assert [(p.capacities, c) for p, c in found] == [
         (p.capacities, c) for p, c in expected
     ]
+    _same_types(found, expected)
     return len(found)
 
 
 class TestFactoredSearch:
+    """Every search mode returns what the per-candidate loop returns.
+
+    Same profiles, certificates, value types and order; grid:g runs the
+    memoized tensor loop, indicator and necessity the order-only search.
+    """
+
+    ORDER_ONLY = [(2, 2), (2, 3), (3, 3), (1, 3), (2, 2, 2), (2, 2, 3),
+                  (3, 1, 2), (2, 2, 2, 2)]
     SIZES = {
-        "indicator": [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3)],
+        "indicator": ORDER_ONLY,
         "grid:2": [(2, 2), (2, 3), (3, 3), (2, 2, 2)],
-        "necessity": [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3)],
+        "necessity": ORDER_ONLY,
     }
 
     @pytest.mark.parametrize("numeric", ["exact", "float"])
@@ -670,7 +702,7 @@ class TestFactoredSearch:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_matches_the_per_candidate_loop_on_small_games(self, data):
-        players = data.draw(st.integers(2, 3), label="players")
+        players = data.draw(st.integers(2, 4), label="players")
         top = 3 if players == 2 else 2
         sizes = data.draw(
             st.lists(st.integers(1, top), min_size=players, max_size=players)
@@ -688,7 +720,10 @@ class TestFactoredSearch:
         tol = 0
         if data.draw(st.booleans(), label="float"):
             g, tol = _float_game(g), 1e-9
-        mode = data.draw(st.sampled_from(["indicator", "grid:2", "necessity"]))
+        modes = ["indicator", "necessity"]
+        if players < 4:
+            modes.append("grid:2")
+        mode = data.draw(st.sampled_from(modes))
         star = data.draw(st.sampled_from(TNORMS))
         ast = data.draw(st.sampled_from(TNORMS))
         _same_search(g, star, ast, mode, tol)
@@ -725,6 +760,78 @@ class TestFactoredSearch:
         assert counts["integrals"] <= sum(
             s.size * m for s, m in zip(g.spaces, per_opponents)
         )
+
+
+class TestSupportSearch:
+    """Indicator and necessity searches run on supports and masks alone."""
+
+    MODES = ["indicator", "necessity"]
+
+    def _corpus(self, seed):
+        rng = random.Random(seed)
+        for sizes in TestFactoredSearch.ORDER_ONLY:
+            yield random_game(rng, players=len(sizes), sizes=list(sizes), denom=6)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_user_tnorms_give_the_same_values(self, mode):
+        # the tensor route may give residuals 0.0 or Fraction(0) under a
+        # user t-norm; the values agree, and the search's are int 0
+        ham = TNorm.from_function("hamacher", hamacher)
+        for g in list(self._corpus(53))[:6]:
+            for star, ast in ((ham, MINIMUM), (PRODUCT, ham), (ham, ham)):
+                got = search_equilibria(g, star, ast, mode=mode)
+                ref = per_candidate_search(g, star, ast, mode=mode)
+                assert [(p.capacities, c) for p, c in got] == [
+                    (p.capacities, c) for p, c in ref
+                ]
+                for _, cert in got:
+                    assert cert.residuals == (0,) * g.players
+                    assert {type(r) for r in cert.residuals} == {int}
+                    assert cert.payoff_tnorm == star.name
+                    assert cert.tensor_tnorm == ast.name
+
+    @pytest.mark.parametrize("numeric", ["exact", "float"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_tensor_capacity_or_tnorm_call(self, monkeypatch, mode, numeric):
+        counts = {}
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner in (games_module, tensors_module):
+            counting(owner, "tensor_n")
+        counting(tensors_module, "tensor_general")
+        for owner in (games_module, integrals_module):
+            counting(owner, "tnormed_integral")
+        counting(TNorm, "__call__")
+        counting(Capacity, "__init__")
+        built = []
+        init = PossibilityCapacity.__init__
+
+        def possibility(self, space, density, tol=0):
+            built.append((space, tuple(density)))
+            init(self, space, density, tol)
+
+        monkeypatch.setattr(PossibilityCapacity, "__init__", possibility)
+        total = 0
+        for g in self._corpus(59):
+            tol = 0
+            if numeric == "float":
+                g, tol = _float_game(g), 1e-9
+            for star in TNORMS:
+                for ast in TNORMS:
+                    built.clear()
+                    found = search_equilibria(g, star, ast, mode=mode, tol=tol)
+                    pairs = {(j, c) for p, _ in found for j, c in enumerate(p)}
+                    assert len(built) <= len(pairs)
+                    total += len(found)
+        assert counts == {}
+        assert total > 0
 
 
 class TestStoredPayoffs:

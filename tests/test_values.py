@@ -3,8 +3,9 @@
 Spaces, t-norms, capacities and fuzzy functions are values: two of them are
 equal when they have the same class and equal fields, equal values hash
 equal, and each prints in constructor form.  Games and profiles are
-immutable too, but compare by identity.  Copies and pickles of all ten are
-rebuilt through their constructors.
+immutable too, but compare by identity.  Copies and pickles of all ten
+restore the slots their constructors validated, so a float value accepted
+within a tolerance survives them.
 """
 
 import copy
@@ -16,6 +17,7 @@ import pytest
 from fuzzygames import (
     BeliefProfile,
     Capacity,
+    CapacityError,
     FiniteSpace,
     FuzzyFunction,
     Game,
@@ -176,8 +178,26 @@ def _round_trips(obj):
     yield pickle.loads(pickle.dumps(obj))
 
 
+# float values that construction accepts only within tol = 1e-9
+NEAR_ONE = 0.9999999999
+TOLERATED = {
+    "PossibilityCapacity-within-tol": lambda: PossibilityCapacity(
+        AB, (NEAR_ONE, 0.5), tol=1e-9
+    ),
+    "Capacity-within-tol": lambda: Capacity(AB, [0, 0.3, 0.5, NEAR_ONE], tol=1e-9),
+    "NecessityCapacity-within-tol": lambda: NecessityCapacity(
+        PossibilityCapacity(AB, (0.5, NEAR_ONE), tol=1e-9)
+    ),
+    "StrategyProfile-within-tol": lambda: StrategyProfile(
+        GAME, (POSS, PossibilityCapacity(XY, (NEAR_ONE, H), tol=1e-9))
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "make", [make for make, _ in IMMUTABLE.values()], ids=IMMUTABLE.keys()
+    "make",
+    [make for make, _ in IMMUTABLE.values()] + list(TOLERATED.values()),
+    ids=list(IMMUTABLE) + list(TOLERATED),
 )
 def test_copies_and_pickles_are_rebuilt_equal(make):
     obj = make()
@@ -191,6 +211,16 @@ def test_copies_and_pickles_are_rebuilt_equal(make):
         else:
             assert twin == obj
             assert repr(twin) == repr(obj)
+
+
+def test_fresh_constructions_stay_strict():
+    # the round trips above restore values that tol = 0 would refuse
+    with pytest.raises(CapacityError, match="must reach 1"):
+        PossibilityCapacity(AB, (NEAR_ONE, 0.5))
+    with pytest.raises(CapacityError, match="whole space"):
+        Capacity(AB, [0, 0.3, 0.5, NEAR_ONE])
+    for make in TOLERATED.values():
+        make()
 
 
 def test_tnorms_pickle_with_their_operation():
