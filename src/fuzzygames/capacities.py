@@ -17,8 +17,9 @@ swaps the two classes and is an involution.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import compress
-from operator import sub
+from operator import gt, sub
 
 from ._frozen import Value
 from .spaces import FiniteSpace, GENERAL_TABLE_MAX_ELEMENTS
@@ -42,15 +43,33 @@ def _check_space(space):
     return space
 
 
-def _worst_covering_drop(values, k):
-    """Largest values[m] - values[m | 1 << k] over masks m without bit k.
+def _differences_exact(values) -> bool:
+    """Whether a - b decides the order of every pair of values exactly.
 
-    values is a subset table of length 2**n with n > k.  Only those covering
-    pairs are subtracted, each once.
+    True unless floats meet Fractions that no float holds: Fraction - float
+    rounds the Fraction to a float first, so Fraction(1, 3) - 1/3 == 0 although
+    Fraction(1, 3) > 1/3.  Where it holds, a - b > 0 is a > b and a - b != 0
+    is a != b, so comparing gives the verdicts of subtracting.
+    """
+    if not any(issubclass(k, float) for k in set(map(type, values))):
+        return True
+    return all(float(v) == v for v in values if isinstance(v, Fraction))
+
+
+def _has_covering_drop(values, k, tol, compare) -> bool:
+    """Whether values[m] exceeds values[m | 1 << k] by more than tol.
+
+    m runs over the masks without bit k of a subset table of length 2**n with
+    n > k, each covering pair once.  With compare (tol == 0 on a table whose
+    differences are exact) the pairs are compared instead of subtracted.
     """
     half = 1 << k
     keep = ([1] * half + [0] * half) * (len(values) >> (k + 1))
-    return max(map(sub, compress(values, keep), compress(values[half:], keep)))
+    small = compress(values, keep)
+    large = compress(values[half:], keep)
+    if compare:
+        return any(map(gt, small, large))
+    return max(map(sub, small, large)) > tol
 
 
 class Capacity(Value):
@@ -86,8 +105,9 @@ class Capacity(Value):
                 )
         if abs(values[0]) > tol:
             raise CapacityError(f"empty set must have value 0, got {values[0]!r}")
+        compare = tol == 0 and _differences_exact(values)
         if any(
-            _worst_covering_drop(values, bit) > tol
+            _has_covering_drop(values, bit, tol, compare)
             for bit in range(space.size)
         ):
             # some covering pair fails; the ordered sweep names the first one
@@ -278,10 +298,32 @@ def least_capacity(space) -> NecessityCapacity:
 
 
 def _max_union_holds(vals, tol) -> bool:
-    """The max-union law over all subset pairs of a table indexed by mask."""
-    for a in range(len(vals)):
+    """The max-union law v(A u B) = max(v(A), v(B)) over a table indexed by mask.
+
+    At tol == 0 on a table whose differences are exact, the law holds exactly
+    when v(empty) <= v(B) for every B and v(A) = max(v(A - low), v(low)) for
+    every A of two or more points, low being A's lowest point: by induction
+    v(A) is then the largest singleton value inside A, which characterises
+    possibility measures.  That costs O(2^n).  Otherwise every subset pair is
+    swept, O(4^n): with tol > 0 the recursion would accept tables that the
+    pair sweep rejects.
+    """
+    size = len(vals)
+    if tol == 0 and _differences_exact(vals):
+        empty = vals[0]
+        if any(v < empty for v in vals):
+            return False
+        for k in range(size.bit_length() - 1):
+            low = 1 << k
+            single = vals[low]
+            for rest in range(low << 1, size, low << 1):
+                vr = vals[rest]
+                if vals[rest | low] != (vr if vr >= single else single):
+                    return False
+        return True
+    for a in range(size):
         va = vals[a]
-        for b in range(a, len(vals)):
+        for b in range(a, size):
             lhs = vals[a | b]
             rhs = va if va >= vals[b] else vals[b]
             if abs(lhs - rhs) > tol:
@@ -290,11 +332,13 @@ def _max_union_holds(vals, tol) -> bool:
 
 
 def is_possibility(cap, tol=0) -> bool:
-    """Exhaustively test the max-union law v(A u B) = max(v(A), v(B)).
+    """Exactly test the max-union law v(A u B) = max(v(A), v(B)).
 
     Density-backed possibility capacities satisfy the law by construction and
-    return True immediately; anything else is checked over all subset pairs,
-    which costs O(4^n) evaluations.
+    return True immediately.  Anything else is tabled and checked in O(2^n)
+    at tol = 0, through v(A) = max(v(A - low), v(low)) for the lowest point
+    low of A, and over all subset pairs, O(4^n), at tol > 0, where that
+    recursion would let errors pile up past tol along a chain of unions.
     """
     if isinstance(cap, PossibilityCapacity):
         return True
@@ -302,11 +346,13 @@ def is_possibility(cap, tol=0) -> bool:
 
 
 def is_necessity(cap, tol=0) -> bool:
-    """Exhaustively test the min-intersection law v(A n B) = min(v(A), v(B)).
+    """Exactly test the min-intersection law v(A n B) = min(v(A), v(B)).
 
     The law holds exactly when m -> -v(complement of m) obeys the max-union
-    law, so one sweep serves both tests.  Negation and complement are exact,
-    unlike 1 - v in float mode, so the verdict is bit-identical.
+    law, so is_possibility's check serves both tests, with the same costs:
+    O(2^n) at tol = 0 and the O(4^n) pair sweep at tol > 0.  Negation and
+    complement are exact, unlike 1 - v in float mode, so the verdict is
+    bit-identical.
     """
     if isinstance(cap, NecessityCapacity):
         return True

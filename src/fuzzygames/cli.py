@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .capacities import PossibilityCapacity
 from .fileio import (
@@ -156,6 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it found it, so one serves every call
+    return build_parser()
+
+
 def _player_index(game, number: int) -> int:
     if not 1 <= number <= game.players:
         raise ValueError(
@@ -274,11 +281,22 @@ def _cmd_verify(args) -> int:
     return 0 if cert.verdict else 1
 
 
-def _profile_doc(profile) -> list:
-    return [
-        {"kind": doc["kind"], "density": doc["density"]}
-        for doc in map(dump_capacity, profile)
-    ]
+def _profile_doc(profile, dumped) -> list:
+    """The profile's capacities as kind and density documents.
+
+    dumped maps id(capacity) to its document and fills as it goes, so a
+    capacity that the search shares between profiles is dumped once.
+    Identity, unlike equality, never merges capacities whose numbers differ
+    only in type (1 and 1.0).
+    """
+    docs = []
+    for cap in profile:
+        doc = dumped.get(id(cap))
+        if doc is None:
+            full = dump_capacity(cap)
+            doc = dumped[id(cap)] = {"kind": full["kind"], "density": full["density"]}
+        docs.append(doc)
+    return docs
 
 
 def _cmd_search(args) -> int:
@@ -293,6 +311,8 @@ def _cmd_search(args) -> int:
         budget=args.budget,
         tol=numeric_tolerance(args.numeric),
     )
+    # found keeps every capacity alive, so no id in dumped is reused
+    dumped = {}
     if args.format == "json":
         print(
             json.dumps(
@@ -301,7 +321,7 @@ def _cmd_search(args) -> int:
                     "found": len(found),
                     "equilibria": [
                         {
-                            "profile": _profile_doc(profile),
+                            "profile": _profile_doc(profile, dumped),
                             "certificate": _certificate_doc(cert),
                         }
                         for profile, cert in found
@@ -318,7 +338,7 @@ def _cmd_search(args) -> int:
         print(f"{len(found)} equilibrium profile(s), mode {args.mode}")
         for k, (profile, cert) in enumerate(found, 1):
             parts = []
-            for doc in _profile_doc(profile):
+            for doc in _profile_doc(profile, dumped):
                 tag = "dual " if doc["kind"] == "necessity" else ""
                 parts.append(tag + "(" + ",".join(doc["density"].values()) + ")")
             print(f"  {k}. " + " x ".join(parts))
@@ -411,8 +431,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
         return handler(args)

@@ -151,9 +151,14 @@ def check_tnorm_laws(t: TNorm, grid_resolution: int = 11) -> LawReport:
 
     Commutativity, identity and boundary scan all grid points; monotonicity
     compares adjacent grid steps in each argument, which combined with
-    transitivity covers the whole grid; associativity sweeps the full cube,
-    reading each term whose argument is a Fraction on the grid from the
-    table and calling the operation for the rest.
+    transitivity covers the whole grid; associativity sweeps the full cube.
+    Each cube term is read from a table: a Fraction argument on the grid
+    reads the grid table, and any other argument v gets one row fn(v, g) and
+    one column fn(g, v) over the grid, computed once per distinct
+    (type(v), v).  So the operation is called at most 2 * resolution times
+    per distinct off-grid value (Lukasiewicz's int 0, say, or the off-grid
+    values of a user operation), not once per cube cell; it is taken to
+    depend only on its arguments' types and values.
     """
     grid = _grid(grid_resolution)
     fn = t._fn
@@ -191,24 +196,21 @@ def check_tnorm_laws(t: TNorm, grid_resolution: int = 11) -> LawReport:
             if d > mono:
                 mono = d
 
-    # fn is deterministic, so an associativity term whose argument is a
-    # Fraction on the grid is read from the table: pos[i][j] is the grid
-    # index of table[i][j], or None where fn must be called.  a - b is formed
-    # only where the two sides differ.
-    index = {g: p for p, g in enumerate(grid)}
-    pos = [
-        [index.get(v) if type(v) is Fraction else None for v in row]
-        for row in table
-    ]
+    # Ids of table values: grid point p is p, and each other distinct
+    # (type(v), v) takes the next id, in order of first appearance.  rows[q]
+    # is fn(value q, g) over the grid: the table's rows, then one row of
+    # calls per other value; column, rebuilt for each i, is fn(grid[i], value
+    # q).  a - b is formed only where the two sides differ.
+    ids = {(Fraction, g): p for p, g in enumerate(grid)}
+    cell_ids = [[ids.setdefault((type(v), v), len(ids)) for v in row] for row in table]
+    others = [v for _, v in list(ids)[n:]]
+    rows = table + [[fn(v, g) for g in grid] for v in others]
     assoc = zero
     for i, gi in enumerate(grid):
-        ti, pi = table[i], pos[i]
-        for j, p in enumerate(pi):
-            left = table[p] if p is not None else [fn(ti[j], g) for g in grid]
-            tj, pj = table[j], pos[j]
-            for k, q in enumerate(pj):
-                a = left[k]
-                b = ti[q] if q is not None else fn(gi, tj[k])
+        column = table[i] + [fn(gi, v) for v in others]
+        for j, q in enumerate(cell_ids[i]):
+            for a, r in zip(rows[q], cell_ids[j]):
+                b = column[r]
                 if a is not b and a != b:
                     d = a - b
                     if d < 0:

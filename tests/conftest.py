@@ -6,10 +6,11 @@ the certificate oracle recomputes best responses and residuals from raw
 density algebra over label tuples.  Tests compare library results against
 these slower routes.  More keep the direct forms of work the library
 shares: a search that checks every candidate from scratch, a t-norm law
-sweep that calls the operation for every associativity term, a slice tensor
-that reads both factors anew for every subset, the covering-pair
-monotonicity sweep in mask order, payoff slices read cell by cell through
-coordinates, and a capacity Nash check that builds every swapped profile.
+sweep that calls the operation for every associativity term, the max-union
+law swept over every subset pair, a slice tensor that reads both factors
+anew for every subset, the covering-pair monotonicity sweep in mask order,
+payoff slices read cell by cell through coordinates, and a capacity Nash
+check that builds every swapped profile.
 """
 
 from __future__ import annotations
@@ -127,6 +128,22 @@ def grid_integral(f: FuzzyFunction, mu, star, resolution: int = 1000):
         if v > best:
             best = v
     return best
+
+
+def max_union_law_by_pairs(vals, tol=0) -> bool:
+    """Direct sweep of v(A u B) = max(v(A), v(B)) over all pairs, O(4^n).
+
+    vals is a subset table indexed by mask.  The library decides the law at
+    tol = 0 in O(2^n) and must agree with this sweep on every table.
+    """
+    for a in range(len(vals)):
+        va = vals[a]
+        for b in range(a, len(vals)):
+            lhs = vals[a | b]
+            rhs = va if va >= vals[b] else vals[b]
+            if abs(lhs - rhs) > tol:
+                return False
+    return True
 
 
 def min_intersection_law(cap, tol=0) -> bool:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from fuzzygames import (
 )
 from conftest import (
     first_monotonicity_failure,
+    max_union_law_by_pairs,
     min_intersection_law,
     random_capacity,
     random_possibility,
@@ -403,6 +405,84 @@ def test_necessity_sweep_matches_min_intersection_oracle(seed):
         floats = Capacity(space, nudged, tol=1e-9)
         for tol in (0, 1e-9):
             assert is_necessity(floats, tol) == min_intersection_law(floats, tol)
+
+
+def _perturbed(values, rng):
+    """The table with one proper nonempty subset moved between its covers."""
+    n = (len(values) - 1).bit_length()
+    if n < 2:
+        return list(values)
+    mask = rng.randrange(1, len(values) - 1)
+    lo = max(values[mask ^ (1 << k)] for k in range(n) if mask >> k & 1)
+    hi = min(values[mask | (1 << k)] for k in range(n) if not mask >> k & 1)
+    moved = list(values)
+    moved[mask] = lo + (hi - lo) * Fraction(rng.randint(0, 4), 4)
+    return moved
+
+
+def _retyped(values, rng, style):
+    """The table as ints where 0 or 1, as Fractions, as floats, or mixed."""
+    if style == "int":
+        return [int(v) if v in (0, 1) else v for v in values]
+    if style == "float":
+        return [float(v) for v in values]
+    if style == "mixed":
+        return [rng.choice((v, float(v), int(v) if v in (0, 1) else v)) for v in values]
+    return list(values)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    size=st.integers(min_value=1, max_value=5),
+    denom=st.sampled_from((4, 12)),
+    style=st.sampled_from(("int", "fraction", "float", "mixed")),
+)
+def test_exact_class_tests_match_pair_sweeps(seed, size, denom, style):
+    """At tol = 0 both class tests agree with the O(4^n) pair sweeps.
+
+    Random, possibility, necessity and perturbed possibility and necessity
+    capacities, the density-backed objects, and one raw table of any values
+    in [0,1] (a set function that need not be a capacity), with int,
+    Fraction, float or mixed values.  Thirds in a mixed table put Fractions
+    next to floats that round them, where a - b and a != b part ways.
+    """
+    rng = random.Random(seed)
+    space = FiniteSpace(tuple(f"p{k}" for k in range(size)))
+    poss = random_possibility(space, rng, denom)
+    tables = [
+        random_capacity(space, rng, denom).values,
+        poss.as_general().values,
+        poss.dual().as_general().values,
+    ]
+    tables += [_perturbed(values, rng) for values in tables[1:]]
+    caps = [Capacity(space, _retyped(values, rng, style)) for values in tables]
+    raw = [Fraction(rng.randint(0, denom), denom) for _ in space.subsets()]
+    raw = _retyped(raw, rng, style)
+    caps += [poss, poss.dual(), SimpleNamespace(space=space, value=raw.__getitem__)]
+    full = space.full_mask
+    for cap in caps:
+        vals = [cap.value(m) for m in space.subsets()]
+        complement = [-vals[full ^ m] for m in space.subsets()]
+        assert is_possibility(cap) == max_union_law_by_pairs(vals)
+        assert is_necessity(cap) == min_intersection_law(cap)
+        assert is_necessity(cap) == max_union_law_by_pairs(complement)
+
+
+def test_class_tests_keep_float_rounded_differences():
+    """A Fraction and the float that rounds it subtract to 0, as before.
+
+    value({p0}) = 1/3 exactly but value({p0, p1}) = float(1/3), which is
+    smaller: comparing would reject the table, subtracting accepts it, and
+    Capacity and both class tests keep the subtracting verdicts at tol = 0.
+    """
+    space = FiniteSpace(("p0", "p1", "p2"))
+    third = Fraction(1, 3)
+    values = [0, third, 0, float(third), 1, 1, 1, 1]
+    assert first_monotonicity_failure(space, values) is None
+    cap = Capacity(space, values)
+    assert is_possibility(cap) is max_union_law_by_pairs(values) is True
+    assert is_necessity(cap) is min_intersection_law(cap) is False
 
 
 def _verdict(space, values, tol):

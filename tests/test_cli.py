@@ -1,12 +1,24 @@
 import json
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from fuzzygames import load_capacity
+from fuzzygames import (
+    dump_capacity,
+    dump_game,
+    format_value,
+    load_capacity,
+    load_game,
+    search_equilibria,
+    tnorm,
+)
+from fuzzygames import cli
 from fuzzygames.cli import build_parser, main
+from fuzzygames.fileio import numeric_tolerance
 from fuzzygames.games import DEFAULT_SEARCH_BUDGET
+from conftest import random_game
 
 GAME1 = {
     "players": 2,
@@ -389,6 +401,89 @@ class TestVerify:
             )
             assert code == expected
             capsys.readouterr()
+
+
+def _search_output_by_dumps(found, mode, fmt):
+    """search's output with every capacity of every profile dumped anew."""
+    if fmt == "text":
+        lines = [f"{len(found)} equilibrium profile(s), mode {mode}"]
+        for k, (profile, _) in enumerate(found, 1):
+            parts = []
+            for doc in map(dump_capacity, profile):
+                tag = "dual " if doc["kind"] == "necessity" else ""
+                parts.append(tag + "(" + ",".join(doc["density"].values()) + ")")
+            lines.append(f"  {k}. " + " x ".join(parts))
+        return "\n".join(lines) + "\n"
+    equilibria = [
+        {
+            "profile": [
+                {"kind": doc["kind"], "density": doc["density"]}
+                for doc in map(dump_capacity, profile)
+            ],
+            "certificate": {
+                "verdict": cert.verdict,
+                "best_responses": [list(r) for r in cert.best_responses],
+                "residuals": [format_value(r) for r in cert.residuals],
+                "payoff_tnorm": cert.payoff_tnorm,
+                "tensor_tnorm": cert.tensor_tnorm,
+            },
+        }
+        for profile, cert in found
+    ]
+    doc = {"mode": mode, "found": len(found), "equilibria": equilibria}
+    return json.dumps(doc) + "\n"
+
+
+class TestSearchOutput:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("numeric", ["rational", "float"])
+    @pytest.mark.parametrize("mode", ["indicator", "necessity", "grid:2"])
+    def test_each_capacity_dumped_once_with_identical_output(
+        self, tmp_path, capsys, monkeypatch, mode, numeric, fmt
+    ):
+        game = random_game(random.Random(2024), players=3, sizes=[2, 3, 3])
+        if mode == "grid:2":
+            game = random_game(random.Random(2024), players=2, sizes=[2, 3])
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(dump_game(game)))
+        dumped = []
+
+        def counted(cap):
+            dumped.append(cap)
+            return dump_capacity(cap)
+
+        monkeypatch.setattr(cli, "dump_capacity", counted)
+        code = main(
+            [
+                "search", "--game", str(path),
+                "--payoff-tnorm", "prod", "--tensor-tnorm", "min",
+                "--mode", mode, "--numeric", numeric, "--format", fmt,
+            ]
+        )
+        found = search_equilibria(
+            load_game(str(path), numeric), tnorm("prod"), tnorm("min"),
+            mode=mode, tol=numeric_tolerance(numeric),
+        )
+        assert code == 0 and len(found) > 1
+        assert capsys.readouterr().out == _search_output_by_dumps(found, mode, fmt)
+        assert len({id(cap) for cap in dumped}) == len(dumped)
+        assert len(dumped) < sum(len(p.capacities) for p, _ in found)
+
+
+def test_main_builds_its_parser_once(monkeypatch, files, capsys):
+    cli._parser.cache_clear()
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for _ in range(3):
+        assert main(["reproduce-paper", "--format", "json"]) == 0
+    assert len(built) == 1
+    cli._parser.cache_clear()
+    assert build_parser().parse_args(["reproduce-paper"]).command == "reproduce-paper"
 
 
 class TestSearch:

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,23 @@ def _int_sensitive(a, b):
     return 1 if a == b == 1 else min(a, b)
 
 
+def _typed_zeros(a, b):
+    # min, but a zero answer is int 0 below the diagonal and float 0.0 on and
+    # above it; a float argument gives min as a float, an int argument gives
+    # the other argument.  Only int 0's row and column break associativity,
+    # so rows keyed by value alone, sharing float 0.0's, would hide the break
+    if type(a) is int:
+        return b
+    if type(b) is int:
+        return a
+    m = min(a, b)
+    if type(a) is float or type(b) is float:
+        return float(m)
+    if m == 0:
+        return 0 if a > b else 0.0
+    return m
+
+
 LAW_SWEEP_OPS = [
     MINIMUM,
     PRODUCT,
@@ -149,17 +167,49 @@ LAW_SWEEP_OPS = [
     TNorm("split", _left_luk_right_min),
     TNorm("float-prod", lambda a, b: float(a) * float(b)),
     TNorm("int-sensitive", _int_sensitive),
+    TNorm("user-luk", lambda a, b: max(0, a + b - 1)),  # int 0 off the diagonal
+    TNorm("typed-zeros", _typed_zeros),
+    TNorm("lopsided", lambda a, b: a * b * b),  # fn(v, g) != fn(g, v) off the grid
 ]
+
+
+def _typed(report):
+    return [(type(v), v) for v in (getattr(report, f.name) for f in fields(report))]
 
 
 @pytest.mark.parametrize("t", LAW_SWEEP_OPS, ids=lambda t: t.name)
 @pytest.mark.parametrize("resolution", [2, 3, 5, 12, 21])
 def test_law_sweep_matches_direct_calls(t, resolution):
-    assert check_tnorm_laws(t, resolution) == tnorm_laws_by_calls(t, resolution)
+    got = check_tnorm_laws(t, resolution)
+    want = tnorm_laws_by_calls(t, resolution)
+    assert got == want
+    assert _typed(got) == _typed(want)  # field for field, in type as well
+
+
+@pytest.mark.parametrize("fn", [hamacher, LUKASIEWICZ._fn], ids=["hamacher", "luk"])
+def test_law_sweep_calls_once_per_distinct_off_grid_value(fn):
+    """Beyond the grid table, identity and boundary, fn runs once per row
+    and once per column of each distinct off-grid table value."""
+    resolution = 21
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return fn(a, b)
+
+    check_tnorm_laws(TNorm("counted", counted), resolution)
+    grid = {Fraction(i, resolution - 1) for i in range(resolution)}
+    table = [fn(a, b) for a in grid for b in grid]
+    off_grid = {
+        (type(v), v) for v in table if not (type(v) is Fraction and v in grid)
+    }
+    assert off_grid
+    n = resolution
+    assert len(calls) == n * n + 2 * n + 2 * n * len(off_grid)
 
 
 def test_law_sweep_oracle_sees_broken_associativity():
-    for name in ("mix", "split", "int-sensitive"):
+    for name in ("mix", "split", "int-sensitive", "typed-zeros"):
         t = next(t for t in LAW_SWEEP_OPS if t.name == name)
         assert tnorm_laws_by_calls(t, 5).associativity > 0
 
