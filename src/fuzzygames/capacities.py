@@ -146,6 +146,24 @@ class Capacity(Value):
         )
 
 
+def _check_density(space, density, tol) -> None:
+    """A possibility density's axioms: every value in [0,1], maximum 1 (within tol).
+
+    Every value is at most the maximum, so 0 <= v for each v and a maximum
+    of at most 1 decide the range with two comparisons per value; a NaN
+    fails 0 <= v.  On a failure the first value outside [0,1] is named.
+    """
+    top = max(density)
+    if not (top <= 1 and all(0 <= v for v in density)):
+        for name, v in zip(space.labels, density):
+            if not 0 <= v <= 1:
+                raise CapacityError(f"density of {name!r} is {v!r}, outside [0,1]")
+    if abs(top - 1) > tol:
+        raise CapacityError(
+            f"a possibility density must reach 1 somewhere; maximum is {top!r}"
+        )
+
+
 class PossibilityCapacity(Value):
     """A capacity determined by a density on points.
 
@@ -166,16 +184,7 @@ class PossibilityCapacity(Value):
             raise ValueError(
                 f"need {space.size} density values, got {len(density)}"
             )
-        for name, v in zip(space.labels, density):
-            if not 0 <= v <= 1:
-                raise CapacityError(
-                    f"density of {name!r} is {v!r}, outside [0,1]"
-                )
-        if abs(max(density) - 1) > tol:
-            raise CapacityError(
-                f"a possibility density must reach 1 somewhere; maximum is "
-                f"{max(density)!r}"
-            )
+        _check_density(space, density, tol)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "density", density)
 

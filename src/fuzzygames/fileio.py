@@ -181,16 +181,24 @@ def load_game(source, numeric: str = "rational") -> Game:
     payoff_docs = doc.get("payoffs")
     if not isinstance(payoff_docs, list) or len(payoff_docs) != len(spaces):
         raise ValueError("game: 'payoffs' must hold one table per player")
+    # each distinct raw is parsed and range-checked once, at its first key;
+    # keyed by type as well, so JSON true is never taken for 1
+    parsed = {}
     tables = []
     for i, table_doc in enumerate(payoff_docs):
         if not isinstance(table_doc, dict):
             raise ValueError(f"game: payoff table of player {i + 1} must be an object")
         table = {}
         for key, raw in table_doc.items():
-            combo = tuple(key.split(","))
-            table[combo] = _maybe_float(
-                parse_unit(raw, f"payoffs[{i}] at {key!r}"), numeric
-            )
+            try:
+                v = parsed[type(raw), raw]
+            except (KeyError, TypeError):  # not seen yet, or unhashable
+                # an unhashable raw is no number: the parser refuses it
+                v = _maybe_float(
+                    parse_unit(raw, f"payoffs[{i}] at {key!r}"), numeric
+                )
+                parsed[type(raw), raw] = v
+            table[tuple(key.split(","))] = v
         tables.append(table)
     return Game(spaces, tables)
 

@@ -25,18 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iterproduct
+from operator import getitem, mul
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _restore
 from .spaces import FiniteSpace, ProductSpace, _product_space
 from .tnorms import TNorm
-from .capacities import (
-    Capacity,
-    NecessityCapacity,
-    PossibilityCapacity,
-    greatest_capacity,
+from .capacities import PossibilityCapacity, _check_density
+from .integrals import (
+    FuzzyFunction,
+    _density_level_maximum,
+    _level_groups,
+    tnormed_integral,
 )
-from .integrals import FuzzyFunction, tnormed_integral
-from .tensors import tensor_n
+from .tensors import _fold, tensor_n
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 DEFAULT_GRID_STEPS = 4
@@ -81,6 +82,8 @@ class Game(Frozen):
                 f"need one payoff table per player, got {len(payoffs)}"
             )
         functions = []
+        lookups = [s._index for s in spaces]
+        strides = prod._strides
         for i, table in enumerate(payoffs):
             if hasattr(table, "keys"):
                 flat = [None] * prod.size
@@ -90,10 +93,11 @@ class Game(Frozen):
                             f"payoff key {key!r} of player {i} must be a tuple "
                             f"of {len(spaces)} labels"
                         )
-                    coords = tuple(
-                        s.index(label) for s, label in zip(spaces, key)
-                    )
-                    idx = prod.index_of(coords)
+                    try:
+                        idx = sum(map(mul, map(getitem, lookups, key), strides))
+                    except KeyError:
+                        for s, label in zip(spaces, key):
+                            s.index(label)  # raises, naming the label and space
                     if flat[idx] is not None:
                         raise ValueError(
                             f"payoff of player {i} at {key!r} given twice"
@@ -121,14 +125,23 @@ class Game(Frozen):
             _product_space(spaces[:i] + spaces[i + 1:])
             for i in range(len(spaces))
         )
-        cells = list(_iterproduct(*(range(s.size) for s in spaces)))
         slices = []
         for i, f in enumerate(functions):
-            # dropping coordinate i keeps row-major order
-            rows = [[] for _ in range(spaces[i].size)]
-            for coords, v in zip(cells, f.values):
-                rows[coords[i]].append(v)
-            slices.append(tuple(FuzzyFunction(opponents[i].space, r) for r in rows))
+            # strategy x of player i owns one run of `inner` points in every
+            # block of the row-major table; dropping coordinate i keeps the
+            # order.  The values were checked when f was built, so the slices
+            # are restored from their slots instead of checked again.
+            values = f.values
+            inner = strides[i]
+            block = inner * spaces[i].size
+            slices.append(tuple(
+                _restore(FuzzyFunction, (opponents[i].space, tuple(
+                    v
+                    for start in range(x * inner, len(values), block)
+                    for v in values[start:start + inner]
+                )))
+                for x in range(spaces[i].size)
+            ))
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "payoffs", tuple(f.values for f in functions))
         object.__setattr__(self, "product", prod)
@@ -587,8 +600,16 @@ def mixed_expected_payoff(
         raise ValueError(
             "mixed expected payoff is defined for possibility profiles only"
         )
-    joint = tensor_n(list(profile), ast, tol=tol)
-    return tnormed_integral(game._functions[i], joint, star)
+    joint = _joint_density(game, _fold([c.density for c in profile], ast._fn), tol)
+    levels = _level_groups(game._functions[i].values)
+    return _density_level_maximum(levels, joint, star._fn)
+
+
+def _joint_density(game: Game, prefixes, tol):
+    """The last list of a density fold, checked as tensor_n's result would be."""
+    density = prefixes[-1]
+    _check_density(game.product.space, density, tol)
+    return density
 
 
 @dataclass(frozen=True)
@@ -615,8 +636,27 @@ def verify_capacity_nash(
 
     The greatest capacity dominates every capacity on the player's space, and
     payoffs are monotone in each profile slot, so the swap bounds every
-    single-player deviation at once.  Each bound folds the swapped list the
-    way mixed_expected_payoff folds a profile.
+    single-player deviation at once.
+
+    Each payoff and bound is mixed_expected_payoff's: the t-normed integral
+    of the player's payoff table against the density tensor of the profile,
+    or of the profile with the player's capacity swapped for the greatest
+    one, with the same values and types.  The tensors are folded one factor
+    at a time, sharing prefixes: with P_k the fold of players 0..k-1, the
+    profile's tensor is P_n, and player i's swapped tensor folds the greatest
+    capacity's density (1, ..., 1) onto P_i and then players i+1..n-1.  The
+    fold still calls ast(v, 1), since in floats Lukasiewicz's v + 1 - 1 need
+    not be v.  With Q_k = |S_0| ... |S_(k-1)|, that is
+    sum_(k=2..n) Q_k calls of ast for the profile and for players 0 and 1,
+    and sum_(k=i+1..n) Q_k for each later player i: 1,584 for a 4x4x4x4
+    game, against 3,840 for five n-fold tensors folded point by point.
+    Every tensor is checked as a PossibilityCapacity would check it.
+
+    Each integral sweeps the payoff's distinct values once, descending,
+    grouped per player, keeping the largest density over the points swept
+    so far.  Ties go to the lowest-index point, as PossibilityCapacity.value
+    resolves them: the greatest capacity's int 1 can tie a Fraction(1) or a
+    1.0, and the payoff then takes that value's type.
     """
     if not isinstance(profile, StrategyProfile):
         profile = StrategyProfile(game, profile)
@@ -624,15 +664,24 @@ def verify_capacity_nash(
         raise ValueError(
             "the capacity equilibrium check supports possibility profiles only"
         )
-    caps = list(profile)
-    joint = tensor_n(caps, ast, tol=tol)
+    fn = ast._fn
+    densities = [c.density for c in profile]
+    prefixes = _fold(densities, fn)
+    joint = _joint_density(game, prefixes, tol)
     payoffs = []
     bounds = []
     gaps = []
     for i, f in enumerate(game._functions):
-        own = tnormed_integral(f, joint, star)
-        swapped = caps[:i] + [greatest_capacity(game.spaces[i])] + caps[i + 1:]
-        bound = tnormed_integral(f, tensor_n(swapped, ast, tol=tol), star)
+        levels = _level_groups(f.values)
+        own = _density_level_maximum(levels, joint, star._fn)
+        swapped = _fold(
+            [(1,) * game.spaces[i].size] + densities[i + 1:],
+            fn,
+            prefixes[i - 1] if i else None,
+        )
+        bound = _density_level_maximum(
+            levels, _joint_density(game, swapped, tol), star._fn
+        )
         payoffs.append(own)
         bounds.append(bound)
         gaps.append(bound - own)

@@ -13,6 +13,8 @@ with 0.  With star = min this is the classical Sugeno integral.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from ._frozen import Value
 from .spaces import FiniteSpace
 from .tnorms import MINIMUM, TNorm
@@ -75,6 +77,47 @@ def _level_maximum(values, measure, star: TNorm):
         if t <= best:
             break  # star(m, t) <= t cannot improve on best any more
         v = star(measure(mask), t)
+        if v > best:
+            best = v
+    return best
+
+
+def _level_groups(values):
+    """The distinct values of a function, descending, each with its points.
+
+    Values equal under == share a group whatever their types, and each group
+    is led by its lowest-index value, the level _level_maximum's stable sort
+    uses; points are listed ascending.
+    """
+    groups = {}
+    for k, v in enumerate(values):
+        groups.setdefault(v, []).append(k)
+    return sorted(groups.items(), key=itemgetter(0), reverse=True)
+
+
+def _density_level_maximum(groups, density, fn):
+    """_level_maximum against the possibility capacity with this density.
+
+    groups come from _level_groups and fn is star's raw operation: every
+    density value and level lies in [0,1] already.  The measure of each upper
+    level set is a running maximum of the density over the groups swept so
+    far.  A tie goes to the lowest index, as in PossibilityCapacity.value,
+    because equal values can differ in type (int 1, Fraction(1), 1.0) and
+    star may return either argument.  So the value and its type are those
+    of tnormed_integral, without a value() scan per level.
+    """
+    best = 0
+    top = None
+    at = -1
+    for t, points in groups:
+        if t <= best:
+            break  # star(m, t) <= t cannot improve on best any more
+        for k in points:
+            v = density[k]
+            if top is None or v > top or (k < at and v == top):
+                top = v
+                at = k
+        v = fn(top, t)
         if v > best:
             best = v
     return best

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import product as _iterproduct
 
 from .spaces import GENERAL_TABLE_MAX_ELEMENTS, _product_space
-from .tnorms import TNorm
+from .tnorms import TNorm, _argument_error
 from .capacities import Capacity, PossibilityCapacity
 from .integrals import _level_maximum
 
@@ -85,17 +85,40 @@ def tensor_n(caps, ast: TNorm, tol=0):
         return caps[0]
     if all(isinstance(c, PossibilityCapacity) for c in caps):
         prod = _product_space(tuple(c.space for c in caps))
-        density = []
-        for point in _iterproduct(*(c.density for c in caps)):
-            acc = point[0]
-            for d in point[1:]:
-                acc = ast(acc, d)
-            density.append(acc)
+        density = _fold([c.density for c in caps], ast._fn)[-1]
         return PossibilityCapacity(prod.space, density, tol=tol)
     acc = caps[0]
     for nxt in caps[1:]:
         acc = tensor_general(acc, nxt, ast, tol=tol)
     return acc
+
+
+def _fold(densities, fn, prefix=None):
+    """The density fold, one factor at a time, sharing every prefix.
+
+    Each step turns the current list P into [fn(a, b) for a in P for b in d]
+    for the next density d: row-major with the last factor fastest, and each
+    point left-associated, so values and types are those of folding each
+    point on its own.  The fold starts from prefix, or else from the first
+    density, and returns the starting list followed by the list of each
+    step.  fn is a t-norm's raw operation, so arguments are checked here
+    instead: the starting list must lie in [0,1] already, and each list that
+    is folded further is checked where it is produced, raising the message
+    TNorm.__call__ gives at the first call it would reach.  The last list is
+    left to the caller, which checks it as a density.
+    """
+    densities = list(densities)
+    if prefix is None:
+        prefix = densities.pop(0)
+    out = [prefix]
+    for k, d in enumerate(densities):
+        if k:
+            for a in prefix:
+                if not 0 <= a <= 1:
+                    raise _argument_error(a, d[0])
+        prefix = [fn(a, b) for a in prefix for b in d]
+        out.append(prefix)
+    return out
 
 
 def support_check(caps, supports, ast: TNorm, tol=0) -> bool:

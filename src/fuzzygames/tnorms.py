@@ -32,9 +32,7 @@ class TNorm(Value):
 
     def __call__(self, a, b):
         if not (0 <= a <= 1) or not (0 <= b <= 1):
-            raise ValueError(
-                f"t-norm arguments must lie in [0,1], got ({a!r}, {b!r})"
-            )
+            raise _argument_error(a, b)
         return self._fn(a, b)
 
     @classmethod
@@ -45,20 +43,20 @@ class TNorm(Value):
         resolution, and a discontinuity screen rejects operations whose value
         jumps by more than max_step between adjacent grid points (this is a
         heuristic: it catches the drastic t-norm and its relatives, not every
-        discontinuity).
+        discontinuity).  The screen reads the grid table the law check built,
+        so the operation is not called again for it.
         """
         candidate = cls(name, fn)
-        report = check_tnorm_laws(candidate, grid_resolution)
+        report, table = _law_sweep(candidate, grid_resolution)
         if not report.ok():
             raise ValueError(
                 f"{name!r} violates the t-norm laws on the "
                 f"{grid_resolution}-point grid: {report}"
             )
         grid = _grid(grid_resolution)
-        for a in grid:
+        for a, row in zip(grid, table):
             prev = None
-            for b in grid:
-                cur = fn(a, b)
+            for b, cur in zip(grid, row):
                 if prev is not None and abs(cur - prev) > max_step:
                     raise ValueError(
                         f"{name!r} looks discontinuous near ({a}, {b}); "
@@ -66,6 +64,10 @@ class TNorm(Value):
                     )
                 prev = cur
         return candidate
+
+
+def _argument_error(a, b) -> ValueError:
+    return ValueError(f"t-norm arguments must lie in [0,1], got ({a!r}, {b!r})")
 
 
 def _minimum(a, b):
@@ -160,6 +162,11 @@ def check_tnorm_laws(t: TNorm, grid_resolution: int = 11) -> LawReport:
     values of a user operation), not once per cube cell; it is taken to
     depend only on its arguments' types and values.
     """
+    return _law_sweep(t, grid_resolution)[0]
+
+
+def _law_sweep(t: TNorm, grid_resolution: int):
+    """check_tnorm_laws's report, and the grid table fn(grid[i], grid[j])."""
     grid = _grid(grid_resolution)
     fn = t._fn
     n = len(grid)
@@ -225,4 +232,4 @@ def check_tnorm_laws(t: TNorm, grid_resolution: int = 11) -> LawReport:
         monotonicity=mono,
         identity=identity,
         boundary=boundary,
-    )
+    ), table

@@ -10,7 +10,7 @@ sweep that calls the operation for every associativity term, the max-union
 law swept over every subset pair, a slice tensor that reads both factors
 anew for every subset, the covering-pair monotonicity sweep in mask order,
 payoff slices read cell by cell through coordinates, and a capacity Nash
-check that builds every swapped profile.
+check that folds every swapped tensor point by point.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fuzzygames import (
     StrategyProfile,
     greatest_capacity,
     induced_beliefs,
-    mixed_expected_payoff,
+    tnormed_integral,
     verify_equilibrium,
 )
 from fuzzygames.integrals import _level_maximum
@@ -371,21 +371,36 @@ def slices_by_coords(game: Game, i: int):
     return tuple(out)
 
 
-def capacity_nash_by_swaps(game: Game, profile, star, ast, tol=0) -> NashReport:
-    """verify_capacity_nash with two mixed_expected_payoff calls per player.
+def mixed_payoff_by_points(game: Game, i, caps, star, ast, tol=0):
+    """mixed_expected_payoff with the joint density folded point by point.
 
-    Each bound wraps the swapped capacities in a StrategyProfile and folds
-    its joint tensor from scratch, so 2n tensors are built; the library
-    builds the profile's joint once and n swapped ones.
+    Each point's density is folded on its own through the public t-norm
+    call, the tensor is a checked PossibilityCapacity, and tnormed_integral
+    sweeps it with a value() scan per level: no prefix is shared and no
+    level group is kept.
+    """
+    prod = ProductSpace([c.space for c in caps])
+    joint = PossibilityCapacity(
+        prod.space,
+        [fold_density(list(point), ast) for point in iterproduct(*(c.density for c in caps))],
+        tol=tol,
+    )
+    return tnormed_integral(FuzzyFunction(prod.space, game.payoffs[i]), joint, star)
+
+
+def capacity_nash_by_swaps(game: Game, profile, star, ast, tol=0) -> NashReport:
+    """verify_capacity_nash with two point-by-point mixed payoffs per player.
+
+    Each bound folds the swapped capacities' joint tensor from scratch, so
+    2n tensors are built; the library folds the profile's joint once and
+    shares its prefixes with every swapped one.
     """
     payoffs, bounds, gaps = [], [], []
     for i in range(game.players):
-        own = mixed_expected_payoff(game, i, profile, star, ast, tol=tol)
+        own = mixed_payoff_by_points(game, i, list(profile), star, ast, tol=tol)
         swapped = list(profile)
         swapped[i] = greatest_capacity(game.spaces[i])
-        bound = mixed_expected_payoff(
-            game, i, StrategyProfile(game, swapped), star, ast, tol=tol
-        )
+        bound = mixed_payoff_by_points(game, i, swapped, star, ast, tol=tol)
         payoffs.append(own)
         bounds.append(bound)
         gaps.append(bound - own)

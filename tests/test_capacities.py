@@ -148,6 +148,22 @@ class TestPossibility:
         with pytest.raises(CapacityError, match="outside"):
             PossibilityCapacity(AB, (1, Fraction(-1, 2)))
 
+    @pytest.mark.parametrize(
+        "density, message",
+        [
+            ((Fraction(3, 2), 1), "density of 'a' is Fraction(3, 2), outside [0,1]"),
+            ((1, 2), "density of 'b' is 2, outside [0,1]"),
+            ((2, -1), "density of 'a' is 2, outside [0,1]"),
+            ((1.0, float("nan")), "density of 'b' is nan, outside [0,1]"),
+            ((float("nan"), 1.0), "density of 'a' is nan, outside [0,1]"),
+            ((H, 0.75), "a possibility density must reach 1 somewhere; maximum is 0.75"),
+        ],
+    )
+    def test_density_errors_name_the_first_bad_value(self, density, message):
+        with pytest.raises(CapacityError) as err:
+            PossibilityCapacity(AB, density, tol=1e-9)
+        assert str(err.value) == message
+
     def test_as_general_agrees_everywhere(self, rng):
         for _ in range(25):
             space = random_space(rng)

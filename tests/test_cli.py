@@ -18,7 +18,7 @@ from fuzzygames import cli
 from fuzzygames.cli import build_parser, main
 from fuzzygames.fileio import numeric_tolerance
 from fuzzygames.games import DEFAULT_SEARCH_BUDGET
-from conftest import random_game
+from conftest import capacity_nash_by_swaps, random_game
 
 GAME1 = {
     "players": 2,
@@ -658,6 +658,80 @@ class TestNashVerify:
         )
         assert code == 1
         assert "not a capacity equilibrium" in capsys.readouterr().out
+
+
+def _nash_output_by_swaps(game_doc, profile_docs, payoff, tensor, numeric, fmt):
+    """nash-verify's output, from the point-by-point swap oracle."""
+    game = load_game(game_doc, numeric)
+    caps = [load_capacity(d, numeric) for d in profile_docs]
+    report = capacity_nash_by_swaps(
+        game, caps, tnorm(payoff), tnorm(tensor), tol=numeric_tolerance(numeric)
+    )
+    if fmt == "json":
+        return json.dumps({
+            "verdict": report.verdict,
+            "payoffs": [format_value(v) for v in report.payoffs],
+            "deviation_bounds": [format_value(v) for v in report.deviation_bounds],
+            "gaps": [format_value(v) for v in report.gaps],
+            "payoff_tnorm": report.payoff_tnorm,
+            "tensor_tnorm": report.tensor_tnorm,
+        }) + "\n", report.verdict
+    lines = ["verdict: " + (
+        "capacity equilibrium" if report.verdict else "not a capacity equilibrium"
+    )]
+    for i, (v, b, g) in enumerate(
+        zip(report.payoffs, report.deviation_bounds, report.gaps)
+    ):
+        lines.append(
+            f"player {i + 1}: payoff {format_value(v)}, "
+            f"deviation bound {format_value(b)}, gap {format_value(g)}"
+        )
+    return "\n".join(lines) + "\n", report.verdict
+
+
+class TestNashVerifyOutput:
+    """nash-verify prints the swap oracle's report, digit for digit: int 1
+    against Fraction(1) or 1.0, and the int 0 of densities left out of a
+    profile file, print as the point-by-point folds give them."""
+
+    @pytest.mark.parametrize("numeric", ["rational", "float"])
+    def test_output_matches_point_by_point_folds(self, tmp_path, capsys, numeric):
+        rng = random.Random(101)
+        runs = 0
+        for sizes in ((2, 3), (2, 2, 3), (2, 1, 2, 2)):
+            game_doc = dump_game(
+                random_game(rng, players=len(sizes), sizes=list(sizes), denom=4)
+            )
+            game_path = tmp_path / f"game{len(sizes)}.json"
+            game_path.write_text(json.dumps(game_doc))
+            labels = game_doc["strategies"]
+            for trial in range(3):
+                docs, paths = [], []
+                for j, ls in enumerate(labels):
+                    # sparse: labels left out load as int 0
+                    density = {x: rng.choice(["1/4", "1/2", "1"]) for x in ls if rng.random() < 0.5}
+                    density[rng.choice(ls)] = "1"
+                    doc = {"space": ls, "kind": "possibility", "density": density}
+                    path = tmp_path / f"p{len(sizes)}-{trial}-{j}.json"
+                    path.write_text(json.dumps(doc))
+                    docs.append(doc)
+                    paths.append(str(path))
+                for payoff in ("min", "prod", "luk"):
+                    for tensor in ("min", "prod", "luk"):
+                        for fmt in ("text", "json"):
+                            want, verdict = _nash_output_by_swaps(
+                                game_doc, docs, payoff, tensor, numeric, fmt
+                            )
+                            code = main([
+                                "nash-verify", "--game", str(game_path),
+                                "--profile", *paths,
+                                "--payoff-tnorm", payoff, "--tensor-tnorm", tensor,
+                                "--numeric", numeric, "--format", fmt,
+                            ])
+                            assert capsys.readouterr().out == want
+                            assert code == (0 if verdict else 1)
+                            runs += 1
+        assert runs == 3 * 3 * 9 * 2
 
 
 class TestReproduce:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -234,6 +235,57 @@ class TestGameFiles:
         doc["payoffs"][1]["b,b"] = "7/2"
         with pytest.raises(ValueError, match=r"payoffs\[1\] at 'b,b'"):
             load_game(doc)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("7/2", "'7/2' is outside [0,1]"),
+            ("x/y", "malformed fraction 'x/y'"),
+            ("1/0", "malformed fraction '1/0'"),
+            (1.5, "1.5 is outside [0,1]"),
+            ([1], "expected a fraction string, got [1]"),  # unhashable
+            ({"v": 1}, "expected a fraction string, got {'v': 1}"),
+        ],
+    )
+    def test_a_repeated_bad_payoff_is_named_at_its_first_key(self, raw, message):
+        # each distinct payoff is parsed once; a bad one repeated under
+        # several keys, and in a later table, is refused at the first key
+        doc = json.loads(json.dumps(GAME_DOC))
+        for i, key in ((0, "a,b"), (0, "b,b"), (1, "a,a")):
+            doc["payoffs"][i][key] = raw
+        with pytest.raises(ValueError) as err:
+            load_game(doc)
+        assert str(err.value) == f"payoffs[0] at 'a,b': {message}"
+
+    @pytest.mark.parametrize("numeric", ["rational", "float"])
+    def test_true_is_not_taken_for_one(self, numeric):
+        doc = json.loads(json.dumps(GAME_DOC))
+        doc["payoffs"][0]["a,a"] = 1
+        doc["payoffs"][0]["b,b"] = True
+        with pytest.raises(ValueError) as err:
+            load_game(doc, numeric)
+        assert str(err.value) == "payoffs[0] at 'b,b': booleans are not numbers"
+
+    @pytest.mark.parametrize("numeric", ["rational", "float"])
+    def test_shared_payoffs_equal_parsing_each_entry(self, numeric):
+        # equal raws of different types (1, 1.0, "1", " 1 ", "2/2") each
+        # parse on their own; the game equals parsing every entry anew
+        rng = random.Random(97)
+        raws = [0, 1, 1.0, "1", " 1 ", "2/2", "1/2", 0.5, "0.5", "3/4", 0.25, "0"]
+        labels = [["a", "b", "c"], ["a", "b"], ["a", "b"]]
+        keys = [",".join(k) for k in itertools.product(*labels)]
+        doc = {
+            "strategies": labels,
+            "payoffs": [{k: rng.choice(raws) for k in keys} for _ in labels],
+        }
+        game = load_game(doc, numeric)
+        for i, table in enumerate(doc["payoffs"]):
+            for k, raw in table.items():
+                want = parse_unit(raw)
+                if numeric == "float":
+                    want = float(want)
+                got = game.payoff_at(i, k.split(","))
+                assert (type(got), got) == (type(want), want)
 
     def test_unknown_payoff_label(self):
         doc = json.loads(json.dumps(GAME_DOC))

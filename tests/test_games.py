@@ -35,6 +35,7 @@ from fuzzygames import (
     restricted_payoff,
     search_equilibria,
     tensor_n,
+    tnormed_integral,
     verify_capacity_nash,
     verify_equilibrium,
 )
@@ -44,6 +45,7 @@ from conftest import (
     brute_force_certificate,
     capacity_nash_by_swaps,
     hamacher,
+    mixed_payoff_by_points,
     per_candidate_search,
     random_game,
     random_possibility,
@@ -834,6 +836,159 @@ class TestSupportSearch:
         assert total > 0
 
 
+# ast calls of the prefix-shared fold in verify_capacity_nash: with
+# Q_k = |S_0| ... |S_(k-1)|, sum_(k>=2) Q_k for the profile and for players 0
+# and 1, and sum_(k>i) Q_k for each later player i.  Folding the n + 1
+# tensors point by point takes (n + 1)(n - 1) Q_n calls: 18, 96, 180, 3840.
+_PREFIX_FOLD_CALLS = {(2, 3): 18, (2, 2, 3): 60, (3, 1, 2, 2): 93, (4, 4, 4, 4): 1584}
+
+
+def _lean(a, b):
+    """A payoff operation that hands back its first argument itself, unless
+    the level is high.  Not a t-norm: it makes the type of the measure that
+    the level sweep reaches visible in the result, so a tie between int 1
+    and Fraction(1) or 1.0 resolved to the wrong point shows."""
+    return a if b <= H else a * 0
+
+
+class TestPrefixFold:
+    """The capacity Nash check and the mixed payoff fold each density prefix
+    once and sweep each payoff's level groups once; they give the reports
+    and payoffs of folding every tensor point by point, in value and type."""
+
+    SIZES = [(2, 3), (3, 2), (2, 2, 3), (3, 1, 2), (2, 2, 2, 2), (1, 3, 2, 2)]
+
+    def _cases(self, seed, numeric):
+        rng = random.Random(seed)
+        unit = float if numeric == "float" else Fraction
+        tol = 1e-9 if numeric == "float" else 0
+        for sizes in self.SIZES:
+            g = random_game(rng, players=len(sizes), sizes=list(sizes), denom=4)
+            # int 1 beside Fraction(1) (or 1.0) in the payoffs as well
+            g = Game(g.spaces, [
+                [1 if v == 1 and rng.random() < 0.5 else unit(v) for v in t]
+                for t in g.payoffs
+            ])
+            for kind in ("random", "sparse", "ties"):
+                caps = []
+                for s in g.spaces:
+                    top = rng.randrange(s.size)
+                    if kind == "random":
+                        d = [unit(Fraction(rng.randint(0, 4), 4)) for _ in s.labels]
+                        d[top] = unit(1)
+                        caps.append(PossibilityCapacity(s, d, tol=tol))
+                    elif kind == "sparse":
+                        # labels left out get the default int 0
+                        d = {
+                            x: unit(Fraction(rng.randint(1, 3), 4))
+                            for x in s.labels if rng.random() < 0.4
+                        }
+                        d[s.labels[top]] = unit(1)
+                        caps.append(possibility_from_density(s, d, tol=tol))
+                    else:
+                        # int 1 ties Fraction(1) or 1.0 at several points
+                        d = [rng.choice((1, unit(1), unit(H))) for _ in s.labels]
+                        d[top] = rng.choice((1, unit(1)))
+                        caps.append(PossibilityCapacity(s, d, tol=tol))
+                yield g, StrategyProfile(g, caps), tol
+
+    def _pairs(self):
+        ham = TNorm.from_function("hamacher", hamacher)
+        stars = TNORMS + [ham, TNorm("lean", _lean)]
+        return [(star, ast) for star in stars for ast in TNORMS + [ham]]
+
+    @pytest.mark.parametrize("numeric", ["exact", "float"])
+    def test_nash_reports_match_point_by_point_folds(self, numeric):
+        pairs = self._pairs()
+        checked = 0
+        for g, profile, tol in self._cases(71, numeric):
+            for star, ast in pairs:
+                got = verify_capacity_nash(g, profile, star, ast, tol=tol)
+                ref = capacity_nash_by_swaps(g, profile, star, ast, tol=tol)
+                assert got == ref
+                for field in ("payoffs", "deviation_bounds", "gaps"):
+                    assert list(map(type, getattr(got, field))) == list(
+                        map(type, getattr(ref, field))
+                    )
+                checked += 1
+        assert checked == 3 * len(self.SIZES) * len(pairs)
+
+    @pytest.mark.parametrize("numeric", ["exact", "float"])
+    def test_mixed_payoffs_match_tensor_n_and_point_folds(self, numeric):
+        pairs = self._pairs()
+        for g, profile, tol in self._cases(73, numeric):
+            for star, ast in pairs:
+                joint = tensor_n(list(profile), ast, tol=tol)
+                for i in range(g.players):
+                    got = mixed_expected_payoff(g, i, profile, star, ast, tol=tol)
+                    want = tnormed_integral(g._functions[i], joint, star)
+                    by_points = mixed_payoff_by_points(
+                        g, i, list(profile), star, ast, tol=tol
+                    )
+                    assert (type(got), got) == (type(want), want)
+                    assert (type(got), got) == (type(by_points), by_points)
+
+    def test_a_tie_goes_to_the_lowest_index(self):
+        # the profile's min tensor is [F1, F1, 1, 1]; player 1's payoff sweeps
+        # level 3/4 (point 2, int 1) and then level 1/2 (points 1 and 3),
+        # where point 1's Fraction(1) ties point 2's int 1 and comes first
+        one = Fraction(1)
+        g = Game([AB, AB], [[Fraction(1, 4), H, Fraction(3, 4), H], [0, 0, 0, 0]])
+        profile = StrategyProfile(
+            g, [PossibilityCapacity(AB, [one, 1]), PossibilityCapacity(AB, [1, one])]
+        )
+        lean = TNorm("lean", _lean)
+        assert mixed_expected_payoff(g, 0, profile, lean, MINIMUM) == 1
+        assert type(mixed_expected_payoff(g, 0, profile, lean, MINIMUM)) is Fraction
+        report = verify_capacity_nash(g, profile, lean, MINIMUM)
+        assert report == capacity_nash_by_swaps(g, profile, lean, MINIMUM)
+        assert type(report.payoffs[0]) is Fraction
+
+    @pytest.mark.parametrize("sizes", sorted(_PREFIX_FOLD_CALLS))
+    def test_fold_calls_ast_once_per_prefix_point(self, sizes):
+        g = random_game(random.Random(79), players=len(sizes), sizes=list(sizes), denom=4)
+        rng = random.Random(83)
+        profile = StrategyProfile(g, [random_possibility(s, rng) for s in g.spaces])
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return PRODUCT._fn(a, b)
+
+        got = verify_capacity_nash(g, profile, MINIMUM, TNorm("prod", counted))
+        assert got == capacity_nash_by_swaps(g, profile, MINIMUM, PRODUCT)
+        assert len(calls) == _PREFIX_FOLD_CALLS[sizes]
+
+    @pytest.mark.parametrize("players", [2, 3])
+    def test_errors_match_point_by_point_folds(self, players):
+        # an operation that leaves [0,1] is refused where the per-point fold
+        # refuses it: at its first out-of-range argument, or as a density
+        rng = random.Random(89)
+        wild = TNorm("wild", lambda a, b: a + b)
+        for _ in range(10):
+            g = random_game(rng, players=players, sizes=[2] * players, denom=4)
+            profile = StrategyProfile(
+                g, [random_possibility(s, rng, denom=4) for s in g.spaces]
+            )
+            with pytest.raises(ValueError) as want:
+                capacity_nash_by_swaps(g, profile, MINIMUM, wild)
+            with pytest.raises(ValueError) as got:
+                verify_capacity_nash(g, profile, MINIMUM, wild)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+        # in float mode a joint whose maximum misses 1 by more than tol is
+        # refused as tensor_n refuses it
+        g = random_game(rng, players=3, sizes=[2, 2, 2], denom=4)
+        near = [PossibilityCapacity(s, [1 - 6e-10, 0.5], tol=1e-9) for s in g.spaces]
+        profile = StrategyProfile(g, near)
+        with pytest.raises(ValueError) as want:
+            capacity_nash_by_swaps(g, profile, MINIMUM, LUKASIEWICZ, tol=1e-9)
+        with pytest.raises(ValueError) as got:
+            verify_capacity_nash(g, profile, MINIMUM, LUKASIEWICZ, tol=1e-9)
+        assert str(got.value) == str(want.value)
+        assert "must reach 1" in str(got.value)
+
+
 class TestStoredPayoffs:
     """The game builds each payoff table and slice once; everything reads them."""
 
@@ -892,15 +1047,31 @@ class TestStoredPayoffs:
 
         monkeypatch.setattr(FuzzyFunction, "__init__", counting)
         tensors = []
-        monkeypatch.setattr(
-            games_module, "tensor_n",
-            lambda *a, **k: tensors.append(a) or tensor_n(*a, **k),
-        )
+        for owner in (games_module, tensors_module):
+            monkeypatch.setattr(
+                owner, "tensor_n",
+                lambda *a, **k: tensors.append(a) or tensor_n(*a, **k),
+            )
         for mode in ("indicator", "grid:2", "necessity"):
             search_equilibria(g, PRODUCT, LUKASIEWICZ, mode=mode)
         verify_equilibrium(g, induced_beliefs(profile, MINIMUM), PRODUCT)
         assert built == []
         tensors.clear()
-        verify_capacity_nash(g, profile, PRODUCT, LUKASIEWICZ)
-        assert len(tensors) == g.players + 1
+        calls = {"__call__": 0, "ast": 0}
+        call = TNorm.__call__
+
+        def counted_call(t, a, b):
+            calls["__call__"] += 1
+            return call(t, a, b)
+
+        def counted_luk(a, b):
+            calls["ast"] += 1
+            return LUKASIEWICZ._fn(a, b)
+
+        monkeypatch.setattr(TNorm, "__call__", counted_call)
+        ast = TNorm(LUKASIEWICZ.name, counted_luk)
+        report = verify_capacity_nash(g, profile, PRODUCT, ast)
+        assert report == verify_capacity_nash(g, profile, PRODUCT, LUKASIEWICZ)
+        assert tensors == []
+        assert calls == {"__call__": 0, "ast": _PREFIX_FOLD_CALLS[(2, 2, 3)]}
         assert built == []

@@ -224,6 +224,36 @@ class TestFromFunction:
         with pytest.raises(ValueError, match="violates"):
             TNorm.from_function("conorm", lambda a, b: a + b - a * b)
 
+    def test_the_screen_reads_the_law_table(self):
+        # the discontinuity screen reads the grid table of the law sweep, so
+        # the operation runs exactly as often as check_tnorm_laws runs it:
+        # 31,779 calls for the Hamacher product at resolution 33
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return hamacher(a, b)
+
+        TNorm.from_function("hamacher", counted)
+        checked = len(calls)
+        calls.clear()
+        check_tnorm_laws(TNorm("hamacher", counted), 33)
+        assert checked == len(calls) == 31779
+
+    def test_screen_names_the_first_jump(self):
+        # the nilpotent minimum is a t-norm that jumps across a + b = 1; the
+        # first jump above 1/5 in the table is at a = 7/32
+        def nilpotent_minimum(a, b):
+            return min(a, b) if a + b > 1 else a * 0
+
+        assert check_tnorm_laws(TNorm("nm", nilpotent_minimum), 33).ok()
+        with pytest.raises(ValueError) as err:
+            TNorm.from_function("nm", nilpotent_minimum)
+        assert str(err.value) == (
+            "'nm' looks discontinuous near (7/32, 13/16); "
+            "only continuous t-norms are supported"
+        )
+
     def test_rejects_drastic_style_jump(self):
         def drastic(a, b):
             if a == 1:
