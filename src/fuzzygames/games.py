@@ -362,7 +362,7 @@ def search_equilibria(
       "indicator"            possibility capacities that are 1 on a nonempty
                              support and 0 elsewhere
       "grid" or "grid:<g>"   possibility densities with entries k/g and
-                             maximum 1 (default g = 4)
+                             maximum 1 (default g = 4; g in ASCII digits)
       "necessity-indicator"  duals of the indicator possibilities
                              (alias "necessity")
 
@@ -375,34 +375,42 @@ def search_equilibria(
     listed.  The results and certificates are the ones verify_equilibrium
     gives on the induced beliefs.
 
-    Indicator and necessity candidates have 0/1 densities, and there every
-    t-norm drops out (ast(1, t) = star(1, t) = t, ast(0, t) = 0): player i's
-    belief is the possibility or necessity indicator of P, the product of
-    the opponents' supports, and the expected payoff of a strategy is the
-    maximum (possibility) or the minimum (necessity) of its payoff slice
-    over P, the optimistic and pessimistic qualitative utilities.  Let S_j
-    be player j's support and BR_j the best responses of j to the others'
-    supports.  Player i's residual is 1 when some opponent's S_j leaves
-    BR_j (possibility) or misses it entirely (necessity), and 0 otherwise.
-    Every player is some other player's opponent, so a candidate is an
-    equilibrium exactly when for every player j
-      possibility:  S_j is a subset of BR_j,
-      necessity:    S_j meets BR_j.
-    These searches score each strategy once per combination of opponent
-    supports and test masks; they build no tensor, no capacity table and
-    call no t-norm, and only the returned profiles get capacities.  Their
-    residuals are int 0.  In float mode the tensor route computed the
-    Lukasiewicz star(1, t) as 1 + t - 1, which can differ from t by one
-    ULP; verdicts agree, but best-response scores need not be bit-identical.
+    Every mode runs one loop.  Let S_j be the points where player j's
+    density exceeds tol (possibility; the support while tol < 1/g) or 0
+    (necessity), and BR_j the best responses of j to the others'
+    candidates.  A candidate is an equilibrium exactly when for every j
+      possibility (indicator, grid:g):  S_j is a subset of BR_j,
+      necessity:                        S_j meets BR_j.
+    Player i's residual is the mass of the points outside the product of
+    the opponents' BR_j.  Possibility, sufficient: each such point has a
+    coordinate of density d <= tol, and ast(a, d) <= ast(1, d) = d.
+    Necessary: for x in S_j outside BR_j and any other player i, put i's
+    other opponents on points of density 1; by ast(1, d) = ast(d, 1) = d the
+    belief there is d_j(x) > tol.  Necessity: on 0/1 densities the residual
+    is 1 when some opponent's S_j misses BR_j, else 0.  Only the
+    identity law and monotonicity of ast are used, at the values met: exact
+    for min, prod and luk, and assumed for TNorm.from_function, whose laws
+    are checked on a grid.
 
-    grid:g searches are factored by opponent combination: player i's
-    induced belief, best responses and response mask are computed once per
-    combination of the opponents' candidates and memoized, as is the set
-    outside the product of the opponents' response sets, per combination of
-    their response masks.  A candidate is dropped at its first residual
-    above tol.  With C_j player j's candidate list, player i's memo holds at
-    most prod_{j != i} |C_j| entries, that is at most budget / |C_i|; each
-    entry keeps one belief, an n-1 fold tensor.
+    Only the scoring differs, chosen once per search.  On 0/1 densities
+    every t-norm drops out: player i's belief is the possibility or
+    necessity indicator of the product P of the opponents' supports, and a
+    strategy scores the max (possibility) or min (necessity) of its payoff
+    slice over P, the optimistic and pessimistic qualitative utilities; no
+    t-norm is called.  (In float mode the tensor route's Lukasiewicz
+    star(1, t) = 1 + t - 1 can differ from t by one ULP; verdicts agree.)
+    grid:g folds and checks the opponents' densities as tensor_n does, and
+    scores each strategy with tnormed_integral's density sweep on its
+    slice's level groups, built once per search.
+
+    Each player has one memo, keyed by the opponents' candidate indices:
+    the belief (grid:g only), the best responses and their mask.  With C_j
+    player j's candidate list it holds at most prod_{j != i} |C_j| entries,
+    at most budget / |C_i|.  A candidate stops at the first player who
+    fails the rule, and only returned profiles get capacities and
+    certificates.  Indicator and necessity residuals are int 0; a grid:g
+    residual is PossibilityCapacity.value of the belief outside the
+    product: the first largest density there, or int 0 if it is empty.
     """
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ValueError(f"search budget must be a positive integer, got {budget!r}")
@@ -413,10 +421,11 @@ def search_equilibria(
         if mode == "grid":
             steps = DEFAULT_GRID_STEPS
         else:
-            try:
-                steps = int(mode.split(":", 1)[1])
-            except ValueError:
-                raise ValueError(f"bad grid mode {mode!r}; use grid:<steps>") from None
+            digits = mode[len("grid:"):]
+            # int() would also take "1_0", "+2", " 2" and non-ASCII digits
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"bad grid mode {mode!r}; use grid:<steps>")
+            steps = int(digits)
         if steps < 1:
             raise ValueError("grid mode needs at least one step")
     elif mode != "indicator" and not necessity:
@@ -436,118 +445,73 @@ def search_equilibria(
     if total > budget:
         raise SearchBudgetExceeded(total, budget)
 
+    players = range(game.players)
     if steps is None:
-        return _support_search(game, star, ast, necessity, tol)
-
-    caps = [
-        [PossibilityCapacity(space, d) for d in _grid_densities(space.size, steps)]
-        for space in game.spaces
-    ]
-    n = game.players
-    players = range(n)
-    # per player: opponents' candidate indices -> (belief, best responses,
-    # response mask), and opponents' response masks -> outside mask
-    responses = [{} for _ in players]
-    outsides = [{} for _ in players]
-    results = []
-    for idx in _iterproduct(*(range(len(row)) for row in caps)):
-        entries = []
-        for i in players:
-            key = idx[:i] + idx[i + 1:]
-            entry = responses[i].get(key)
-            if entry is None:
-                belief = tensor_n(
-                    [caps[j][k] for j, k in enumerate(idx) if j != i],
-                    ast,
-                    tol=tol,
-                )
-                best = best_response(game, i, belief, star, tol=tol)
-                entry = (belief, best, game.spaces[i].mask_of(best))
-                responses[i][key] = entry
-            entries.append(entry)
-        masks = tuple(entry[2] for entry in entries)
-        residuals = []
-        for i in players:
-            key = masks[:i] + masks[i + 1:]
-            outside = outsides[i].get(key)
-            if outside is None:
-                outside = outsides[i][key] = _outside_mask(game, i, key)
-            r = entries[i][0].value(outside)
-            if r > tol:
-                break
-            residuals.append(r)
-        else:
-            profile = StrategyProfile(
-                game, [caps[j][k] for j, k in enumerate(idx)]
-            )
-            cert = EquilibriumCertificate(
-                best_responses=tuple(entry[1] for entry in entries),
-                residuals=tuple(residuals),
-                verdict=True,
-                payoff_tnorm=star.name,
-                tensor_tnorm=ast.name,
-            )
-            results.append((profile, cert))
-    return results
-
-
-def _support_search(game: Game, star: TNorm, ast: TNorm, necessity: bool, tol):
-    """The indicator and necessity searches, on supports and masks alone.
-
-    See search_equilibria for the closed forms and the two subset rules.
-    """
-    n = game.players
-    players = range(n)
-    # each player's supports, as masks in the order of their 0/1 densities
-    densities = [_indicator_densities(s.size) for s in game.spaces]
-    supports = [
-        [sum(bit << k for k, bit in enumerate(d)) for d in row] for row in densities
-    ]
-    # per player, per opponent (ascending) and support: the support's points
-    # as flat offsets into that player's opponent space, row-major
-    offsets = []
-    for i in players:
-        opp = game._opponents[i]
-        opponents = [j for j in players if j != i]
-        offsets.append([
+        densities = [_indicator_densities(s.size) for s in game.spaces]
+        # per player, per opponent (ascending) and candidate: the support's
+        # points as flat offsets into that player's opponent space
+        offsets = [
             [
-                [x * stride for x in range(f.size) if mask >> x & 1]
-                for mask in supports[j]
+                [[x * stride for x in range(f.size) if d[x]] for d in densities[j]]
+                for j, f, stride in zip(
+                    (j for j in players if j != i), opp.factors, opp._strides
+                )
             ]
-            for j, f, stride in zip(opponents, opp.factors, opp._strides)
-        ])
-    score = min if necessity else max
-
-    def respond(i, key):
-        # best responses of player i to the opponents' supports named by key
-        points = [
-            sum(p)
-            for p in _iterproduct(*(offs[k] for offs, k in zip(offsets[i], key)))
+            for i, opp in enumerate(game._opponents)
         ]
-        scores = [
-            score(map(f.values.__getitem__, points)) for f in game._slices[i]
-        ]
-        bar = max(scores) - tol
-        best = [k for k, sc in enumerate(scores) if sc >= bar]
-        labels = game.spaces[i].labels
-        return tuple(labels[k] for k in best), sum(1 << k for k in best)
+        extreme = min if necessity else max
 
-    responses = [{} for _ in players]
+        def score(i, key):
+            points = [
+                sum(p)
+                for p in _iterproduct(*(offs[k] for offs, k in zip(offsets[i], key)))
+            ]
+            return None, [
+                extreme(map(f.values.__getitem__, points)) for f in game._slices[i]
+            ]
+    else:
+        densities = [_grid_densities(s.size, steps) for s in game.spaces]
+        groups = [[_level_groups(f.values) for f in row] for row in game._slices]
+
+        def score(i, key):
+            rows = densities[:i] + densities[i + 1:]
+            belief = _fold([row[k] for row, k in zip(rows, key)], ast._fn)[-1]
+            _check_density(game._opponents[i].space, belief, tol)
+            return belief, [
+                _density_level_maximum(g, belief, star._fn) for g in groups[i]
+            ]
+
+    floor = 0 if necessity else tol
+    supports = [
+        [sum(1 << k for k, v in enumerate(d) if v > floor) for d in row]
+        for row in densities
+    ]
+    # per player: opponents' candidate indices -> (belief, best responses,
+    # response mask)
+    memos = [{} for _ in players]
     caps = {}
+    zeros = (0,) * game.players
     results = []
-    for idx in _iterproduct(*(range(len(row)) for row in supports)):
-        best_sets = []
+    for idx in _iterproduct(*(range(len(row)) for row in densities)):
+        entries = []
         for j in players:
             key = idx[:j] + idx[j + 1:]
-            entry = responses[j].get(key)
+            entry = memos[j].get(key)
             if entry is None:
-                entry = responses[j][key] = respond(j, key)
+                belief, scores = score(j, key)
+                bar = max(scores) - tol
+                best = [k for k, sc in enumerate(scores) if sc >= bar]
+                labels = game.spaces[j].labels
+                entry = memos[j][key] = (
+                    belief,
+                    tuple(labels[k] for k in best),
+                    sum(1 << k for k in best),
+                )
             own = supports[j][idx[j]]
-            held = own & entry[1]
-            # possibility: S_j within BR_j; necessity: S_j meets BR_j
+            held = own & entry[2]
             if not (held if necessity else held == own):
                 break
-            best_sets.append(entry[0])
+            entries.append(entry)
         else:
             profile = []
             for j, k in enumerate(idx):
@@ -558,15 +522,29 @@ def _support_search(game: Game, star: TNorm, ast: TNorm, necessity: bool, tol):
                         cap = cap.dual()
                     caps[j, k] = cap
                 profile.append(cap)
+            residuals = zeros
+            if steps is not None:
+                masks = [entry[2] for entry in entries]
+                residuals = tuple([
+                    _largest_density(
+                        entry[0], _outside_mask(game, i, masks[:i] + masks[i + 1:])
+                    )
+                    for i, entry in enumerate(entries)
+                ])
             cert = EquilibriumCertificate(
-                best_responses=tuple(best_sets),
-                residuals=(0,) * n,
+                best_responses=tuple([entry[1] for entry in entries]),
+                residuals=residuals,
                 verdict=True,
                 payoff_tnorm=star.name,
                 tensor_tnorm=ast.name,
             )
             results.append((StrategyProfile(game, profile), cert))
     return results
+
+
+def _largest_density(density, mask):
+    """PossibilityCapacity.value(mask) for this density, value and type."""
+    return max((v for k, v in enumerate(density) if mask >> k & 1), default=0)
 
 
 def _indicator_densities(size: int):

@@ -9,6 +9,9 @@ The level set {f >= t} only changes at the values f takes, and on each
 constant step the maximum is attained at the step's right endpoint, so the
 supremum is an exact finite maximum over the distinct values of f together
 with 0.  With star = min this is the classical Sugeno integral.
+Against a possibility capacity the measure of each level set is a running
+maximum of the density (_density_level_maximum, which the games module
+shares); any other capacity is read through value() once per level.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ def _density_level_maximum(groups, density, fn):
     far.  A tie goes to the lowest index, as in PossibilityCapacity.value,
     because equal values can differ in type (int 1, Fraction(1), 1.0) and
     star may return either argument.  So the value and its type are those
-    of tnormed_integral, without a value() scan per level.
+    of _level_maximum with PossibilityCapacity.value as the measure.
     """
     best = 0
     top = None
@@ -127,6 +130,8 @@ def tnormed_integral(f: FuzzyFunction, mu, star: TNorm):
     """Integrate f against the capacity mu with the given t-norm."""
     if f.space != mu.space:
         raise ValueError("function and capacity live on different spaces")
+    if isinstance(mu, PossibilityCapacity):
+        return _density_level_maximum(_level_groups(f.values), mu.density, star._fn)
     return _level_maximum(f.values, mu.value, star)
 
 
@@ -136,19 +141,16 @@ def sugeno_integral(f: FuzzyFunction, mu):
 
 
 def possibility_integral(f: FuzzyFunction, mu: PossibilityCapacity, star: TNorm):
-    """Closed form for possibility capacities.
+    """The integral against a possibility capacity, which it requires.
 
-    Equals the level-set evaluation: max over points x of
-    star(density(x), f(x)).  Kept as a separate route so the two can be
-    cross-checked.
+    The value is the max over points x of star(density(x), f(x)), because
+    star is monotone; it is computed by tnormed_integral's density sweep,
+    so both give the same value and type.  The sweep may pass star an
+    operand equal to, but not the same as, the one a loop over points
+    would pass (Fraction(1, 2) where a point holds 0.5), so on inputs that
+    mix int, Fraction and float the result may differ from that loop's in
+    type or, by float rounding, in value.
     """
     if not isinstance(mu, PossibilityCapacity):
         raise ValueError("the density closed form needs a possibility capacity")
-    if f.space != mu.space:
-        raise ValueError("function and capacity live on different spaces")
-    best = 0
-    for d, v in zip(mu.density, f.values):
-        cand = star(d, v)
-        if cand > best:
-            best = cand
-    return best
+    return tnormed_integral(f, mu, star)

@@ -43,8 +43,11 @@ class TNorm(Value):
         resolution, and a discontinuity screen rejects operations whose value
         jumps by more than max_step between adjacent grid points (this is a
         heuristic: it catches the drastic t-norm and its relatives, not every
-        discontinuity).  The screen reads the grid table the law check built,
-        so the operation is not called again for it.
+        discontinuity).  It accepts, for one, the ordinal sum with a drastic
+        summand on (1/2, 5/8) and min elsewhere, a t-norm that is not
+        continuous: T(9/16, 9/16) = 1/2 while T(5/8, 9/16) = 9/16, a jump
+        below the default step.  The screen reads the grid table the law
+        check built, so the operation is not called again for it.
         """
         candidate = cls(name, fn)
         report, table = _law_sweep(candidate, grid_resolution)

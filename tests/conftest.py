@@ -9,8 +9,9 @@ shares: a search that checks every candidate from scratch, a t-norm law
 sweep that calls the operation for every associativity term, the max-union
 law swept over every subset pair, a slice tensor that reads both factors
 anew for every subset, the covering-pair monotonicity sweep in mask order,
-payoff slices read cell by cell through coordinates, and a capacity Nash
-check that folds every swapped tensor point by point.
+payoff slices read cell by cell through coordinates, a capacity Nash
+check that folds every swapped tensor point by point, and the possibility
+integral as a maximum over points instead of a sweep over level sets.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from fuzzygames import (
     StrategyProfile,
     greatest_capacity,
     induced_beliefs,
-    tnormed_integral,
     verify_equilibrium,
 )
 from fuzzygames.integrals import _level_maximum
@@ -160,6 +160,20 @@ def min_intersection_law(cap, tol=0) -> bool:
     return True
 
 
+def possibility_integral_by_points(f: FuzzyFunction, mu, star):
+    """The integral against a possibility capacity, point by point.
+
+    max over points x of star(density(x), f(x)), which equals the level-set
+    evaluation because star is monotone; the library sweeps level sets.
+    """
+    best = 0
+    for d, v in zip(mu.density, f.values):
+        cand = star(d, v)
+        if cand > best:
+            best = cand
+    return best
+
+
 def fold_density(densities, ast):
     acc = densities[0]
     for d in densities[1:]:
@@ -269,13 +283,26 @@ def tnorm_laws_by_calls(t, grid_resolution: int = 11):
     )
 
 
+class _ValueScan:
+    """A capacity seen through its space and value() alone.
+
+    tnormed_integral reads it with a value() scan per level, as it reads any
+    capacity that is not a PossibilityCapacity.
+    """
+
+    def __init__(self, mu):
+        self.space = mu.space
+        self.value = mu.value
+
+
 def per_candidate_search(game: Game, star, ast, mode="indicator", tol=0):
     """Search by checking every candidate profile from scratch.
 
     Each candidate gets its own induced beliefs and a full verify_equilibrium
     call; the library's search shares that work across candidates with the
     same opponents and must return the same profiles and certificates in the
-    same order.
+    same order.  Each belief is wrapped in a _ValueScan, so every integral is
+    a value() scan per level, not the library's density sweep.
     """
     if mode.startswith("grid:"):
         steps = int(mode.split(":", 1)[1])
@@ -304,7 +331,7 @@ def per_candidate_search(game: Game, star, ast, mode="indicator", tol=0):
         if mode == "necessity":
             caps = [c.dual() for c in caps]
         profile = StrategyProfile(game, caps)
-        beliefs = induced_beliefs(profile, ast, tol=tol)
+        beliefs = [_ValueScan(b) for b in induced_beliefs(profile, ast, tol=tol)]
         cert = verify_equilibrium(game, beliefs, star, tol=tol, tensor_tnorm=ast.name)
         if cert.verdict:
             results.append((profile, cert))
@@ -375,9 +402,9 @@ def mixed_payoff_by_points(game: Game, i, caps, star, ast, tol=0):
     """mixed_expected_payoff with the joint density folded point by point.
 
     Each point's density is folded on its own through the public t-norm
-    call, the tensor is a checked PossibilityCapacity, and tnormed_integral
-    sweeps it with a value() scan per level: no prefix is shared and no
-    level group is kept.
+    call, the tensor is a checked PossibilityCapacity, and the integral is
+    a value() scan per level: no prefix is shared, no level group is kept
+    and no density sweep is run.
     """
     prod = ProductSpace([c.space for c in caps])
     joint = PossibilityCapacity(
@@ -385,7 +412,7 @@ def mixed_payoff_by_points(game: Game, i, caps, star, ast, tol=0):
         [fold_density(list(point), ast) for point in iterproduct(*(c.density for c in caps))],
         tol=tol,
     )
-    return tnormed_integral(FuzzyFunction(prod.space, game.payoffs[i]), joint, star)
+    return _level_maximum(game.payoffs[i], joint.value, star)
 
 
 def capacity_nash_by_swaps(game: Game, profile, star, ast, tol=0) -> NashReport:

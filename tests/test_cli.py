@@ -593,6 +593,23 @@ class TestSearch:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["grid:1_0", "grid:+2", "grid: 2", "grid:\u0662"])
+    def test_lenient_grid_mode_exits_two(self, files, capsys, mode):
+        # int() would read these as grid:10 or grid:2 and echo the raw mode
+        code = main(
+            [
+                "search",
+                "--game", files["game1"],
+                "--payoff-tnorm", "min",
+                "--tensor-tnorm", "min",
+                "--mode", mode,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad grid mode" in captured.err
+
     def test_necessity_mode(self, files, capsys):
         code = main(
             [

@@ -35,11 +35,10 @@ from fuzzygames import (
     restricted_payoff,
     search_equilibria,
     tensor_n,
-    tnormed_integral,
     verify_capacity_nash,
     verify_equilibrium,
 )
-from fuzzygames.integrals import FuzzyFunction
+from fuzzygames.integrals import FuzzyFunction, _level_maximum
 
 from conftest import (
     brute_force_certificate,
@@ -478,6 +477,10 @@ class TestSearch:
             search_equilibria(g, MINIMUM, MINIMUM, mode="grid:x")
         with pytest.raises(ValueError, match="at least one step"):
             search_equilibria(g, MINIMUM, MINIMUM, mode="grid:0")
+        # int() takes these; the step count is ASCII digits only
+        for mode in ("grid:1_0", "grid:+2", "grid: 2", "grid:\u0662", "grid:-1"):
+            with pytest.raises(ValueError, match="bad grid mode"):
+                search_equilibria(g, MINIMUM, MINIMUM, mode=mode)
 
 
 class TestMixedPayoffs:
@@ -673,8 +676,9 @@ def _same_search(game, star, ast, mode, tol):
 class TestFactoredSearch:
     """Every search mode returns what the per-candidate loop returns.
 
-    Same profiles, certificates, value types and order; grid:g runs the
-    memoized tensor loop, indicator and necessity the order-only search.
+    Same profiles, certificates, value types and order; every mode runs
+    the one memoized loop, grid:g on folded densities, indicator and
+    necessity on orders alone.
     """
 
     ORDER_ONLY = [(2, 2), (2, 3), (3, 3), (1, 3), (2, 2, 2), (2, 2, 3),
@@ -730,6 +734,17 @@ class TestFactoredSearch:
         ast = data.draw(st.sampled_from(TNORMS))
         _same_search(g, star, ast, mode, tol)
 
+    @pytest.mark.parametrize("tol", [Fraction(1, 2), 1])
+    def test_wide_tolerances_match_the_per_candidate_loop(self, tol):
+        # at tol >= 1/g a grid density of k/g <= tol leaves no residual above
+        # tol, and at tol >= 1 every strategy is a best response
+        rng = random.Random(43)
+        for sizes in [(2, 2), (2, 3), (2, 2, 2)]:
+            g = random_game(rng, players=len(sizes), sizes=list(sizes), denom=4)
+            for mode in ("indicator", "grid:2", "necessity"):
+                for star, ast in ((MINIMUM, PRODUCT), (LUKASIEWICZ, LUKASIEWICZ)):
+                    _same_search(g, star, ast, mode, tol)
+
     @pytest.mark.parametrize("mode", ["indicator", "grid:2", "necessity"])
     def test_work_is_shared_across_candidates(self, monkeypatch, mode):
         # each player's belief and best responses are built once per
@@ -765,9 +780,9 @@ class TestFactoredSearch:
 
 
 class TestSupportSearch:
-    """Indicator and necessity searches run on supports and masks alone."""
+    """Every search runs on supports, masks and folded densities alone."""
 
-    MODES = ["indicator", "necessity"]
+    MODES = ["indicator", "necessity", "grid:2"]
 
     def _corpus(self, seed):
         rng = random.Random(seed)
@@ -777,18 +792,23 @@ class TestSupportSearch:
     @pytest.mark.parametrize("mode", MODES)
     def test_user_tnorms_give_the_same_values(self, mode):
         # the tensor route may give residuals 0.0 or Fraction(0) under a
-        # user t-norm; the values agree, and the search's are int 0
+        # user t-norm; the values agree, and the order-only search's are
+        # int 0, while grid:2 folds the densities as the tensor route does
         ham = TNorm.from_function("hamacher", hamacher)
-        for g in list(self._corpus(53))[:6]:
+        # under grid:2 the oracle would take most of a second on the 2x2x3 game
+        for g in list(self._corpus(53))[:5 if mode == "grid:2" else 6]:
             for star, ast in ((ham, MINIMUM), (PRODUCT, ham), (ham, ham)):
                 got = search_equilibria(g, star, ast, mode=mode)
                 ref = per_candidate_search(g, star, ast, mode=mode)
                 assert [(p.capacities, c) for p, c in got] == [
                     (p.capacities, c) for p, c in ref
                 ]
+                if mode == "grid:2":
+                    _same_types(got, ref)
                 for _, cert in got:
                     assert cert.residuals == (0,) * g.players
-                    assert {type(r) for r in cert.residuals} == {int}
+                    if mode != "grid:2":
+                        assert {type(r) for r in cert.residuals} == {int}
                     assert cert.payoff_tnorm == star.name
                     assert cert.tensor_tnorm == ast.name
 
@@ -921,7 +941,7 @@ class TestPrefixFold:
                 joint = tensor_n(list(profile), ast, tol=tol)
                 for i in range(g.players):
                     got = mixed_expected_payoff(g, i, profile, star, ast, tol=tol)
-                    want = tnormed_integral(g._functions[i], joint, star)
+                    want = _level_maximum(g._functions[i].values, joint.value, star)
                     by_points = mixed_payoff_by_points(
                         g, i, list(profile), star, ast, tol=tol
                     )

@@ -10,13 +10,17 @@ from fuzzygames import (
     PRODUCT,
     greatest_capacity,
     level_set,
+    PossibilityCapacity,
+    TNorm,
     possibility_from_density,
     possibility_integral,
     sugeno_integral,
     tnormed_integral,
 )
+from fuzzygames.integrals import _level_maximum
 from conftest import (
     grid_integral,
+    possibility_integral_by_points,
     random_capacity,
     random_function,
     random_possibility,
@@ -150,7 +154,27 @@ class TestOracles:
             mu = random_possibility(space, rng)
             f = random_function(space, rng)
             for t in TNORMS:
-                assert tnormed_integral(f, mu, t) == possibility_integral(f, mu, t)
+                expected = possibility_integral_by_points(f, mu, t)
+                assert tnormed_integral(f, mu, t) == expected
+                assert possibility_integral(f, mu, t) == expected
+
+    def test_density_sweep_matches_the_value_scan(self, rng):
+        # int 0 and 1, Fractions and floats tie under ==; the density sweep
+        # must pick the point a value() scan per level picks, so types agree
+        pool = [0, 1, 0.0, 1.0, Fraction(0), Fraction(1), H, 0.5, Q, 0.25]
+        # not a t-norm: it hands back the measure itself at low levels, so a
+        # tie resolved to the wrong point shows in the result's type
+        lean = TNorm("lean", lambda a, b: a if b <= H else a * 0)
+        for _ in range(300):
+            space = random_space(rng, 1, 5)
+            density = [rng.choice(pool) for _ in range(space.size)]
+            density[rng.randrange(space.size)] = rng.choice((1, 1.0, Fraction(1)))
+            mu = PossibilityCapacity(space, density)
+            f = FuzzyFunction(space, [rng.choice(pool) for _ in range(space.size)])
+            for t in TNORMS + [lean]:
+                got = tnormed_integral(f, mu, t)
+                ref = _level_maximum(f.values, mu.value, t)
+                assert (got, type(got)) == (ref, type(ref))
 
     def test_closed_form_requires_possibility(self, rng):
         space = random_space(rng)
