@@ -1,5 +1,9 @@
 """Command line front end.
 
+Each subcommand builds one document of formatted values.  --format json
+prints that document; the text view is rendered from it and nothing else.
+tensor --out writes the document to its file and prints only the path.
+
 Exit codes: 0 success (and true verdicts), 1 false verdicts or an empty
 search, 2 usage or input errors, 3 search budget exceeded.
 """
@@ -9,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import cache
 
 from .capacities import PossibilityCapacity
@@ -171,53 +176,42 @@ def _player_index(game, number: int) -> int:
     return number - 1
 
 
-def _cmd_integrate(args) -> int:
+def _cmd_integrate(args):
     star = tnorm(args.tnorm)
     cap = load_capacity(args.capacity, args.numeric)
     if args.function:
         if args.player is not None:
-            print("error: --player only applies with --game", file=sys.stderr)
-            return 2
+            raise ValueError("--player only applies with --game")
         f = load_function(args.function, args.numeric)
-        value = tnormed_integral(f, cap, star)
-        if args.format == "json":
-            print(json.dumps({"value": format_value(value)}))
-        else:
-            print(format_value(value))
-        return 0
+        return {"value": format_value(tnormed_integral(f, cap, star))}, 0
     game = load_game(args.game, args.numeric)
     players = range(game.players)
     if args.player is not None:
         players = [_player_index(game, args.player)]
-    results = {i: tnormed_integral(game._functions[i], cap, star) for i in players}
-    if args.format == "json":
-        print(
-            json.dumps(
-                {f"player {i + 1}": format_value(v) for i, v in results.items()}
-            )
-        )
-    else:
-        for i, v in results.items():
-            print(f"player {i + 1}: {format_value(v)}")
-    return 0
+    return {
+        f"player {i + 1}": format_value(tnormed_integral(game._functions[i], cap, star))
+        for i in players
+    }, 0
 
 
-def _cmd_tensor(args) -> int:
+def _integrate_text(doc):
+    if "value" in doc:
+        return [doc["value"]]
+    return [f"{name}: {value}" for name, value in doc.items()]
+
+
+def _cmd_tensor(args):
     ast = tnorm(args.tnorm)
     caps = [load_capacity(p, args.numeric) for p in args.capacities]
     if len(caps) < 2:
-        print("error: tensor needs at least two capacities", file=sys.stderr)
-        return 2
+        raise ValueError("tensor needs at least two capacities")
     tol = numeric_tolerance(args.numeric)
     if args.form == "density" and not all(
         isinstance(c, PossibilityCapacity) for c in caps
     ):
-        print(
-            "error: density form needs possibility capacities; "
-            "use --form general",
-            file=sys.stderr,
+        raise ValueError(
+            "density form needs possibility capacities; use --form general"
         )
-        return 2
     if args.form == "general":
         caps = [c.as_general(tol) for c in caps]
     # tensor_n takes the density route exactly when every factor is a
@@ -226,14 +220,15 @@ def _cmd_tensor(args) -> int:
     if args.out:
         save_json(doc, args.out)
         print(f"wrote {args.out}")
-    elif args.format == "json":
-        print(json.dumps(doc))
-    else:
-        print(json.dumps(doc, indent=2))
-    return 0
+        return None, 0
+    return doc, 0
 
 
-def _cmd_best_response(args) -> int:
+def _tensor_text(doc):
+    return [json.dumps(doc, indent=2)]
+
+
+def _cmd_best_response(args):
     star = tnorm(args.tnorm)
     game = load_game(args.game, args.numeric)
     i = _player_index(game, args.player)
@@ -241,11 +236,11 @@ def _cmd_best_response(args) -> int:
     responses = best_response(
         game, i, belief, star, tol=numeric_tolerance(args.numeric)
     )
-    if args.format == "json":
-        print(json.dumps({"player": args.player, "best_responses": list(responses)}))
-    else:
-        print(" ".join(responses))
-    return 0
+    return {"player": args.player, "best_responses": list(responses)}, 0
+
+
+def _best_response_text(doc):
+    return [" ".join(doc["best_responses"])]
 
 
 def _certificate_doc(cert) -> dict:
@@ -258,27 +253,20 @@ def _certificate_doc(cert) -> dict:
     }
 
 
-def _print_certificate(cert) -> None:
-    print(f"verdict: {'equilibrium' if cert.verdict else 'not an equilibrium'}")
-    for i, (resp, res) in enumerate(zip(cert.best_responses, cert.residuals)):
-        print(
-            f"player {i + 1}: best responses {{{','.join(resp)}}}, "
-            f"residual {format_value(res)}"
-        )
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     star = tnorm(args.payoff_tnorm)
     game = load_game(args.game, args.numeric)
     beliefs = [load_capacity(p, args.numeric) for p in args.beliefs]
     cert = verify_equilibrium(
         game, beliefs, star, tol=numeric_tolerance(args.numeric)
     )
-    if args.format == "json":
-        print(json.dumps(_certificate_doc(cert)))
-    else:
-        _print_certificate(cert)
-    return 0 if cert.verdict else 1
+    return _certificate_doc(cert), 0 if cert.verdict else 1
+
+
+def _verify_text(doc):
+    yield f"verdict: {'equilibrium' if doc['verdict'] else 'not an equilibrium'}"
+    for i, (resp, res) in enumerate(zip(doc["best_responses"], doc["residuals"])):
+        yield f"player {i + 1}: best responses {{{','.join(resp)}}}, residual {res}"
 
 
 def _profile_doc(profile, dumped) -> list:
@@ -299,7 +287,7 @@ def _profile_doc(profile, dumped) -> list:
     return docs
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     star = tnorm(args.payoff_tnorm)
     ast = tnorm(args.tensor_tnorm)
     game = load_game(args.game, args.numeric)
@@ -313,39 +301,34 @@ def _cmd_search(args) -> int:
     )
     # found keeps every capacity alive, so no id in dumped is reused
     dumped = {}
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "mode": args.mode,
-                    "found": len(found),
-                    "equilibria": [
-                        {
-                            "profile": _profile_doc(profile, dumped),
-                            "certificate": _certificate_doc(cert),
-                        }
-                        for profile, cert in found
-                    ],
-                }
-            )
-        )
-    elif not found:
-        print(
+    equilibria = [
+        {
+            "profile": _profile_doc(profile, dumped),
+            "certificate": _certificate_doc(cert),
+        }
+        for profile, cert in found
+    ]
+    doc = {"mode": args.mode, "found": len(found), "equilibria": equilibria}
+    return doc, 0 if found else 1
+
+
+def _search_text(doc):
+    if not doc["found"]:
+        yield (
             "no equilibrium found at this resolution "
-            f"(mode {args.mode}); finer grids or the continuum are not ruled out"
+            f"(mode {doc['mode']}); finer grids or the continuum are not ruled out"
         )
-    else:
-        print(f"{len(found)} equilibrium profile(s), mode {args.mode}")
-        for k, (profile, cert) in enumerate(found, 1):
-            parts = []
-            for doc in _profile_doc(profile, dumped):
-                tag = "dual " if doc["kind"] == "necessity" else ""
-                parts.append(tag + "(" + ",".join(doc["density"].values()) + ")")
-            print(f"  {k}. " + " x ".join(parts))
-    return 0 if found else 1
+        return
+    yield f"{doc['found']} equilibrium profile(s), mode {doc['mode']}"
+    for k, eq in enumerate(doc["equilibria"], 1):
+        parts = []
+        for cap in eq["profile"]:
+            tag = "dual " if cap["kind"] == "necessity" else ""
+            parts.append(tag + "(" + ",".join(cap["density"].values()) + ")")
+        yield f"  {k}. " + " x ".join(parts)
 
 
-def _cmd_nash_verify(args) -> int:
+def _cmd_nash_verify(args):
     star = tnorm(args.payoff_tnorm)
     ast = tnorm(args.tensor_tnorm)
     game = load_game(args.game, args.numeric)
@@ -354,87 +337,69 @@ def _cmd_nash_verify(args) -> int:
     report = verify_capacity_nash(
         game, profile, star, ast, tol=numeric_tolerance(args.numeric)
     )
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "verdict": report.verdict,
-                    "payoffs": [format_value(v) for v in report.payoffs],
-                    "deviation_bounds": [
-                        format_value(v) for v in report.deviation_bounds
-                    ],
-                    "gaps": [format_value(v) for v in report.gaps],
-                    "payoff_tnorm": report.payoff_tnorm,
-                    "tensor_tnorm": report.tensor_tnorm,
-                }
-            )
-        )
-    else:
-        print(
-            "verdict: "
-            + (
-                "capacity equilibrium"
-                if report.verdict
-                else "not a capacity equilibrium"
-            )
-        )
-        for i in range(len(report.payoffs)):
-            print(
-                f"player {i + 1}: payoff {format_value(report.payoffs[i])}, "
-                f"deviation bound {format_value(report.deviation_bounds[i])}, "
-                f"gap {format_value(report.gaps[i])}"
-            )
-    return 0 if report.verdict else 1
+    doc = {
+        "verdict": report.verdict,
+        "payoffs": [format_value(v) for v in report.payoffs],
+        "deviation_bounds": [format_value(v) for v in report.deviation_bounds],
+        "gaps": [format_value(v) for v in report.gaps],
+        "payoff_tnorm": report.payoff_tnorm,
+        "tensor_tnorm": report.tensor_tnorm,
+    }
+    return doc, 0 if report.verdict else 1
 
 
-def _cmd_reproduce(args) -> int:
+def _nash_verify_text(doc):
+    yield "verdict: " + (
+        "capacity equilibrium" if doc["verdict"] else "not a capacity equilibrium"
+    )
+    rows = zip(doc["payoffs"], doc["deviation_bounds"], doc["gaps"])
+    for i, (payoff, bound, gap) in enumerate(rows):
+        yield f"player {i + 1}: payoff {payoff}, deviation bound {bound}, gap {gap}"
+
+
+def _cmd_reproduce(args):
     rows = reference_report(numeric=args.numeric)
     ok = all(r.passed for r in rows)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "passed": ok,
-                    "checks": [
-                        {
-                            "name": r.name,
-                            "expected": r.expected,
-                            "computed": r.computed,
-                            "passed": r.passed,
-                        }
-                        for r in rows
-                    ],
-                }
-            )
+    # a row's fields are the check's keys: name, expected, computed, passed
+    return {"passed": ok, "checks": [asdict(r) for r in rows]}, 0 if ok else 1
+
+
+def _reproduce_text(doc):
+    checks = doc["checks"]
+    width = max(len(c["name"]) for c in checks)
+    for c in checks:
+        mark = "pass" if c["passed"] else "FAIL"
+        yield (
+            f"{c['name'].ljust(width)}  expected {c['expected']:>16}  "
+            f"computed {c['computed']:>16}  {mark}"
         )
-    else:
-        width = max(len(r.name) for r in rows)
-        for r in rows:
-            mark = "pass" if r.passed else "FAIL"
-            print(
-                f"{r.name.ljust(width)}  expected {r.expected:>16}  "
-                f"computed {r.computed:>16}  {mark}"
-            )
-        print(f"{len(rows)} checks, {sum(r.passed for r in rows)} passed")
-    return 0 if ok else 1
+    yield f"{len(checks)} checks, {sum(c['passed'] for c in checks)} passed"
 
 
-_HANDLERS = {
-    "integrate": _cmd_integrate,
-    "tensor": _cmd_tensor,
-    "best-response": _cmd_best_response,
-    "verify": _cmd_verify,
-    "search": _cmd_search,
-    "nash-verify": _cmd_nash_verify,
-    "reproduce-paper": _cmd_reproduce,
+# each command's handler returns (document, exit code); its text view turns
+# the document into lines, and --format json prints the document itself
+_COMMANDS = {
+    "integrate": (_cmd_integrate, _integrate_text),
+    "tensor": (_cmd_tensor, _tensor_text),
+    "best-response": (_cmd_best_response, _best_response_text),
+    "verify": (_cmd_verify, _verify_text),
+    "search": (_cmd_search, _search_text),
+    "nash-verify": (_cmd_nash_verify, _nash_verify_text),
+    "reproduce-paper": (_cmd_reproduce, _reproduce_text),
 }
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    handler = _HANDLERS[args.command]
+    handler, text_view = _COMMANDS[args.command]
     try:
-        return handler(args)
+        doc, code = handler(args)
+        if doc is not None:  # tensor --out has printed where it wrote
+            if args.format == "json":
+                print(json.dumps(doc))
+            else:
+                print("\n".join(text_view(doc)))
+        return code
     except SearchBudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

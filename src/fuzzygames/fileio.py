@@ -119,10 +119,12 @@ def load_capacity(source, numeric: str = "rational"):
         density_doc = doc.get("density")
         if not isinstance(density_doc, dict):
             raise ValueError(f"capacity of kind {kind}: 'density' must be an object")
-        density = {
-            name: _maybe_float(parse_unit(raw, f"density of {name!r}"), numeric)
-            for name, raw in density_doc.items()
-        }
+        # labels left out have density 0, in the mode's type
+        density = dict.fromkeys(space.labels, _maybe_float(0, numeric))
+        for name, raw in density_doc.items():
+            density[name] = _maybe_float(
+                parse_unit(raw, f"density of {name!r}"), numeric
+            )
         poss = possibility_from_density(space, density, tol=tol)
         return poss.dual() if kind == "necessity" else poss
     if kind == "general":

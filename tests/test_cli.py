@@ -1,7 +1,11 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from fuzzygames import (
     search_equilibria,
     tnorm,
 )
+import fuzzygames
 from fuzzygames import cli
 from fuzzygames.cli import build_parser, main
 from fuzzygames.fileio import numeric_tolerance
@@ -78,6 +83,7 @@ def files(tmp_path):
         "top": write("top.json", TOP),
         "joint": write("joint.json", JOINT),
         "func": write("func.json", FUNC),
+        "nec": write("nec.json", dict(BELIEF1, kind="necessity")),
         "dir": tmp_path,
     }
 
@@ -258,6 +264,25 @@ class TestTensor:
             members = key.split(",") if key else []
             expected = max((density[m] for m in members), default=0)
             assert Fraction(value) == expected
+
+    def test_float_mode_prints_left_out_labels_as_float_zeros(self, files, capsys):
+        sparse = files["dir"] / "sparse.json"
+        sparse.write_text(
+            json.dumps({"space": ["a", "b"], "kind": "possibility", "density": {"a": "1"}})
+        )
+        code = main(
+            [
+                "tensor",
+                "--capacities", str(sparse), str(sparse),
+                "--tnorm", "min",
+                "--numeric", "float",
+                "--format", "json",
+            ]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["density"] == {
+            "a|a": "1.0", "a|b": "0.0", "b|a": "0.0", "b|b": "0.0",
+        }
 
     def test_single_capacity_rejected(self, files, capsys):
         code = main(
@@ -708,8 +733,10 @@ def _nash_output_by_swaps(game_doc, profile_docs, payoff, tensor, numeric, fmt):
 
 class TestNashVerifyOutput:
     """nash-verify prints the swap oracle's report, digit for digit: int 1
-    against Fraction(1) or 1.0, and the int 0 of densities left out of a
-    profile file, print as the point-by-point folds give them."""
+    against Fraction(1) or 1.0 prints as the point-by-point folds give it.
+    Densities left out of a profile file load as the mode's zero (0.0 under
+    float); a payoff of int 0 can still print as 0 in float mode, from the
+    integral's starting level."""
 
     @pytest.mark.parametrize("numeric", ["rational", "float"])
     def test_output_matches_point_by_point_folds(self, tmp_path, capsys, numeric):
@@ -725,7 +752,7 @@ class TestNashVerifyOutput:
             for trial in range(3):
                 docs, paths = [], []
                 for j, ls in enumerate(labels):
-                    # sparse: labels left out load as int 0
+                    # sparse: labels left out load as the mode's zero
                     density = {x: rng.choice(["1/4", "1/2", "1"]) for x in ls if rng.random() < 0.5}
                     density[rng.choice(ls)] = "1"
                     doc = {"space": ls, "kind": "possibility", "density": density}
@@ -771,6 +798,34 @@ class TestReproduce:
         code = main(["reproduce-paper", "--numeric", "float"])
         assert code == 0
         assert "14 checks, 14 passed" in capsys.readouterr().out
+
+
+class TestEntryPoints:
+    def test_module_runs_as_a_program(self):
+        src = str(Path(fuzzygames.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "fuzzygames", "reproduce-paper", "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["passed"] is True
+
+    def test_run_exits_with_the_code_of_main(self, tmp_path, capsys, monkeypatch):
+        absent = str(tmp_path / "absent.json")
+        monkeypatch.setattr(
+            sys,
+            "argv",
+            ["fuzzygames", "integrate", "--function", absent,
+             "--capacity", absent, "--tnorm", "min"],
+        )
+        with pytest.raises(SystemExit) as err:
+            cli.run()
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestErrors:
@@ -871,3 +926,412 @@ class TestErrors:
         )
         assert code == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+
+# Every subcommand's exact output, in both formats, on the files fixture.
+# DIR stands for the fixture's directory; the tensor-general text view is the
+# same indented dump that tensor-density pins.
+PINNED_RUNS = {
+    "integrate-function": (
+        "integrate --function {func} --capacity {belief1} --tnorm min"
+    ),
+    "integrate-game": "integrate --game {game1} --capacity {joint} --tnorm prod",
+    "integrate-player": (
+        "integrate --game {game1} --capacity {joint} --tnorm min --player 2"
+    ),
+    "integrate-player-without-game": (
+        "integrate --function {func} --capacity {belief1} --tnorm min --player 1"
+    ),
+    "tensor-density": "tensor --capacities {belief1} {top} --tnorm prod",
+    "tensor-general": (
+        "tensor --capacities {belief1} {belief1} --tnorm min --form general"
+    ),
+    "tensor-out": (
+        "tensor --capacities {belief1} {top} --tnorm luk --out {dir}/tensor.json"
+    ),
+    "tensor-one-capacity": "tensor --capacities {belief1} --tnorm min",
+    "tensor-density-form-necessity": (
+        "tensor --capacities {nec} {belief1} --tnorm min --form density"
+    ),
+    "best-response": (
+        "best-response --game {game1} --player 1 --belief {belief1} --tnorm min"
+    ),
+    "verify-pass": (
+        "verify --game {game1} --beliefs {belief1} {belief1} --payoff-tnorm min"
+    ),
+    "verify-fail": (
+        "verify --game {game1} --beliefs {belief1} {belief1} --payoff-tnorm prod"
+    ),
+    "verify-float": (
+        "verify --game {game1} --beliefs {belief1} {top} --payoff-tnorm "
+        "prod --numeric float"
+    ),
+    "search-indicator": "search --game {game1} --payoff-tnorm min --tensor-tnorm min",
+    "search-necessity": (
+        "search --game {game1} --payoff-tnorm prod --tensor-tnorm luk "
+        "--mode necessity"
+    ),
+    "search-empty": "search --game {stubborn} --payoff-tnorm min --tensor-tnorm min",
+    "search-bad-mode": (
+        "search --game {game1} --payoff-tnorm min --tensor-tnorm min --mode bogus"
+    ),
+    "nash-verify-pass": (
+        "nash-verify --game {game2} --profile {top} {top} --payoff-tnorm "
+        "min --tensor-tnorm luk"
+    ),
+    "nash-verify-float": (
+        "nash-verify --game {game2} --profile {belief1} {top} "
+        "--payoff-tnorm prod --tensor-tnorm min --numeric float"
+    ),
+    "reproduce-paper": "reproduce-paper",
+}
+PINNED_OUTPUT = {
+    ("integrate-function", "text"): ("1/2\n", "", 0),
+    ("integrate-function", "json"): ('{"value": "1/2"}\n', "", 0),
+    ("integrate-game", "text"): ("player 1: 1/2\nplayer 2: 1/4\n", "", 0),
+    ("integrate-game", "json"): ('{"player 1": "1/2", "player 2": "1/4"}\n', "", 0),
+    ("integrate-player", "text"): ("player 2: 1/2\n", "", 0),
+    ("integrate-player", "json"): ('{"player 2": "1/2"}\n', "", 0),
+    ("integrate-player-without-game", "text"): (
+        "",
+        "error: --player only applies with --game\n",
+        2,
+    ),
+    ("integrate-player-without-game", "json"): (
+        "",
+        "error: --player only applies with --game\n",
+        2,
+    ),
+    ("tensor-density", "text"): (
+        (
+            "{\n"
+            '  "space": [\n'
+            '    "a|a",\n'
+            '    "a|b",\n'
+            '    "b|a",\n'
+            '    "b|b"\n'
+            "  ],\n"
+            '  "kind": "possibility",\n'
+            '  "density": {\n'
+            '    "a|a": "1",\n'
+            '    "a|b": "1",\n'
+            '    "b|a": "1/2",\n'
+            '    "b|b": "1/2"\n'
+            "  }\n"
+            "}\n"
+        ),
+        "",
+        0,
+    ),
+    ("tensor-density", "json"): (
+        (
+            '{"space": ["a|a", "a|b", "b|a", "b|b"], "kind": "possibility", '
+            '"density": {"a|a": "1", "a|b": "1", "b|a": "1/2", '
+            '"b|b": "1/2"}}\n'
+        ),
+        "",
+        0,
+    ),
+    ("tensor-general", "json"): (
+        (
+            '{"space": ["a|a", "a|b", "b|a", "b|b"], "kind": "general", '
+            '"values": {"": "0", "a|a": "1", "a|b": "1/2", "a|a,a|b": "1", '
+            '"b|a": "1/2", "a|a,b|a": "1", "a|b,b|a": "1/2", '
+            '"a|a,a|b,b|a": "1", "b|b": "1/2", "a|a,b|b": "1", '
+            '"a|b,b|b": "1/2", "a|a,a|b,b|b": "1", "b|a,b|b": "1/2", '
+            '"a|a,b|a,b|b": "1", "a|b,b|a,b|b": "1/2", '
+            '"a|a,a|b,b|a,b|b": "1"}}\n'
+        ),
+        "",
+        0,
+    ),
+    ("tensor-out", "text"): ("wrote DIR/tensor.json\n", "", 0),
+    ("tensor-out", "json"): ("wrote DIR/tensor.json\n", "", 0),
+    ("tensor-one-capacity", "text"): (
+        "",
+        "error: tensor needs at least two capacities\n",
+        2,
+    ),
+    ("tensor-one-capacity", "json"): (
+        "",
+        "error: tensor needs at least two capacities\n",
+        2,
+    ),
+    ("tensor-density-form-necessity", "text"): (
+        "",
+        "error: density form needs possibility capacities; use --form general\n",
+        2,
+    ),
+    ("tensor-density-form-necessity", "json"): (
+        "",
+        "error: density form needs possibility capacities; use --form general\n",
+        2,
+    ),
+    ("best-response", "text"): ("a b\n", "", 0),
+    ("best-response", "json"): ('{"player": 1, "best_responses": ["a", "b"]}\n', "", 0),
+    ("verify-pass", "text"): (
+        (
+            "verdict: equilibrium\n"
+            "player 1: best responses {a,b}, residual 0\n"
+            "player 2: best responses {a,b}, residual 0\n"
+        ),
+        "",
+        0,
+    ),
+    ("verify-pass", "json"): (
+        (
+            '{"verdict": true, "best_responses": [["a", "b"], ["a", "b"]], '
+            '"residuals": ["0", "0"], "payoff_tnorm": "min", '
+            '"tensor_tnorm": null}\n'
+        ),
+        "",
+        0,
+    ),
+    ("verify-fail", "text"): (
+        (
+            "verdict: not an equilibrium\n"
+            "player 1: best responses {a}, residual 1\n"
+            "player 2: best responses {b}, residual 1/2\n"
+        ),
+        "",
+        1,
+    ),
+    ("verify-fail", "json"): (
+        (
+            '{"verdict": false, "best_responses": [["a"], ["b"]], '
+            '"residuals": ["1", "1/2"], "payoff_tnorm": "prod", '
+            '"tensor_tnorm": null}\n'
+        ),
+        "",
+        1,
+    ),
+    ("verify-float", "text"): (
+        (
+            "verdict: not an equilibrium\n"
+            "player 1: best responses {a}, residual 0\n"
+            "player 2: best responses {a,b}, residual 1.0\n"
+        ),
+        "",
+        1,
+    ),
+    ("verify-float", "json"): (
+        (
+            '{"verdict": false, "best_responses": [["a"], ["a", "b"]], '
+            '"residuals": ["0", "1.0"], "payoff_tnorm": "prod", '
+            '"tensor_tnorm": null}\n'
+        ),
+        "",
+        1,
+    ),
+    ("search-indicator", "text"): (
+        (
+            "1 equilibrium profile(s), mode indicator\n"
+            "  1. (1,1) x (1,1)\n"
+        ),
+        "",
+        0,
+    ),
+    ("search-indicator", "json"): (
+        (
+            '{"mode": "indicator", "found": 1, '
+            '"equilibria": [{"profile": [{"kind": "possibility", '
+            '"density": {"a": "1", "b": "1"}}, {"kind": "possibility", '
+            '"density": {"a": "1", "b": "1"}}], '
+            '"certificate": {"verdict": true, "best_responses": [["a", "b"], '
+            '["a", "b"]], "residuals": ["0", "0"], "payoff_tnorm": "min", '
+            '"tensor_tnorm": "min"}}]}\n'
+        ),
+        "",
+        0,
+    ),
+    ("search-necessity", "text"): (
+        (
+            "5 equilibrium profile(s), mode necessity\n"
+            "  1. dual (0,1) x dual (1,1)\n"
+            "  2. dual (1,0) x dual (1,1)\n"
+            "  3. dual (1,1) x dual (0,1)\n"
+            "  4. dual (1,1) x dual (1,0)\n"
+            "  5. dual (1,1) x dual (1,1)\n"
+        ),
+        "",
+        0,
+    ),
+    ("search-necessity", "json"): (
+        (
+            '{"mode": "necessity", "found": 5, '
+            '"equilibria": [{"profile": [{"kind": "necessity", '
+            '"density": {"a": "0", "b": "1"}}, {"kind": "necessity", '
+            '"density": {"a": "1", "b": "1"}}], '
+            '"certificate": {"verdict": true, "best_responses": [["a", "b"], '
+            '["a"]], "residuals": ["0", "0"], "payoff_tnorm": "prod", '
+            '"tensor_tnorm": "luk"}}, {"profile": [{"kind": "necessity", '
+            '"density": {"a": "1", "b": "0"}}, {"kind": "necessity", '
+            '"density": {"a": "1", "b": "1"}}], '
+            '"certificate": {"verdict": true, "best_responses": [["a", "b"], '
+            '["b"]], "residuals": ["0", "0"], "payoff_tnorm": "prod", '
+            '"tensor_tnorm": "luk"}}, {"profile": [{"kind": "necessity", '
+            '"density": {"a": "1", "b": "1"}}, {"kind": "necessity", '
+            '"density": {"a": "0", "b": "1"}}], '
+            '"certificate": {"verdict": true, "best_responses": [["b"], '
+            '["a", "b"]], "residuals": ["0", "0"], "payoff_tnorm": "prod", '
+            '"tensor_tnorm": "luk"}}, {"profile": [{"kind": "necessity", '
+            '"density": {"a": "1", "b": "1"}}, {"kind": "necessity", '
+            '"density": {"a": "1", "b": "0"}}], '
+            '"certificate": {"verdict": true, "best_responses": [["a"], '
+            '["a", "b"]], "residuals": ["0", "0"], "payoff_tnorm": "prod", '
+            '"tensor_tnorm": "luk"}}, {"profile": [{"kind": "necessity", '
+            '"density": {"a": "1", "b": "1"}}, {"kind": "necessity", '
+            '"density": {"a": "1", "b": "1"}}], '
+            '"certificate": {"verdict": true, "best_responses": [["a", "b"], '
+            '["a", "b"]], "residuals": ["0", "0"], "payoff_tnorm": "prod", '
+            '"tensor_tnorm": "luk"}}]}\n'
+        ),
+        "",
+        0,
+    ),
+    ("search-empty", "text"): (
+        (
+            "no equilibrium found at this resolution (mode indicator); "
+            "finer grids or the continuum are not ruled out\n"
+        ),
+        "",
+        1,
+    ),
+    ("search-empty", "json"): (
+        '{"mode": "indicator", "found": 0, "equilibria": []}\n',
+        "",
+        1,
+    ),
+    ("search-bad-mode", "text"): (
+        "",
+        (
+            "error: unknown search mode 'bogus'; "
+            "use indicator, grid:<g>, or necessity-indicator\n"
+        ),
+        2,
+    ),
+    ("search-bad-mode", "json"): (
+        "",
+        (
+            "error: unknown search mode 'bogus'; "
+            "use indicator, grid:<g>, or necessity-indicator\n"
+        ),
+        2,
+    ),
+    ("nash-verify-pass", "text"): (
+        (
+            "verdict: capacity equilibrium\n"
+            "player 1: payoff 1, deviation bound 1, gap 0\n"
+            "player 2: payoff 1, deviation bound 1, gap 0\n"
+        ),
+        "",
+        0,
+    ),
+    ("nash-verify-pass", "json"): (
+        (
+            '{"verdict": true, "payoffs": ["1", "1"], '
+            '"deviation_bounds": ["1", "1"], "gaps": ["0", "0"], '
+            '"payoff_tnorm": "min", "tensor_tnorm": "luk"}\n'
+        ),
+        "",
+        0,
+    ),
+    ("nash-verify-float", "text"): (
+        (
+            "verdict: capacity equilibrium\n"
+            "player 1: payoff 1.0, deviation bound 1.0, gap 0.0\n"
+            "player 2: payoff 1.0, deviation bound 1.0, gap 0.0\n"
+        ),
+        "",
+        0,
+    ),
+    ("nash-verify-float", "json"): (
+        (
+            '{"verdict": true, "payoffs": ["1.0", "1.0"], '
+            '"deviation_bounds": ["1.0", "1.0"], "gaps": ["0.0", "0.0"], '
+            '"payoff_tnorm": "prod", "tensor_tnorm": "min"}\n'
+        ),
+        "",
+        0,
+    ),
+    ("reproduce-paper", "text"): (
+        (
+            "game 1: expected payoff, player 1, a, min      expected              1/2"
+            "  computed              1/2  pass\n"
+            "game 1: expected payoff, player 1, b, min      expected              1/2"
+            "  computed              1/2  pass\n"
+            "game 1: best responses, player 1, min          expected            {a,b}"
+            "  computed            {a,b}  pass\n"
+            "game 1: best responses, player 2, min          expected            {a,b}"
+            "  computed            {a,b}  pass\n"
+            "game 1: equilibrium verdict, min               expected              yes"
+            "  computed              yes  pass\n"
+            "game 1: expected payoff, player 1, a, prod     expected              1/2"
+            "  computed              1/2  pass\n"
+            "game 1: expected payoff, player 1, b, prod     expected              1/4"
+            "  computed              1/4  pass\n"
+            "game 1: best responses, player 1, prod         expected              {a}"
+            "  computed              {a}  pass\n"
+            "game 1: verdict and player-2 residual, prod    expected no, residual 1/2"
+            "  computed no, residual 1/2  pass\n"
+            "game 2: expected payoff, player 1, a, min      expected                1"
+            "  computed                1  pass\n"
+            "game 2: expected payoff, player 1, b, min      expected              1/2"
+            "  computed              1/2  pass\n"
+            "game 2: best responses, player 1, min          expected              {a}"
+            "  computed              {a}  pass\n"
+            "game 2: capacity equilibrium verdict, min/min  expected              yes"
+            "  computed              yes  pass\n"
+            "game 2: equilibrium verdict, min               expected               no"
+            "  computed               no  pass\n"
+            "14 checks, 14 passed\n"
+        ),
+        "",
+        0,
+    ),
+    ("reproduce-paper", "json"): (
+        (
+            '{"passed": true, "checks": [{"name": "game 1: expected payoff, '
+            'player 1, a, min", "expected": "1/2", "computed": "1/2", '
+            '"passed": true}, {"name": "game 1: expected payoff, player 1, '
+            'b, min", "expected": "1/2", "computed": "1/2", "passed": true}, '
+            '{"name": "game 1: best responses, player 1, min", '
+            '"expected": "{a,b}", "computed": "{a,b}", "passed": true}, '
+            '{"name": "game 1: best responses, player 2, min", '
+            '"expected": "{a,b}", "computed": "{a,b}", "passed": true}, '
+            '{"name": "game 1: equilibrium verdict, min", "expected": "yes", '
+            '"computed": "yes", "passed": true}, '
+            '{"name": "game 1: expected payoff, player 1, a, prod", '
+            '"expected": "1/2", "computed": "1/2", "passed": true}, '
+            '{"name": "game 1: expected payoff, player 1, b, prod", '
+            '"expected": "1/4", "computed": "1/4", "passed": true}, '
+            '{"name": "game 1: best responses, player 1, prod", '
+            '"expected": "{a}", "computed": "{a}", "passed": true}, '
+            '{"name": "game 1: verdict and player-2 residual, prod", '
+            '"expected": "no, residual 1/2", "computed": "no, residual 1/2", '
+            '"passed": true}, {"name": "game 2: expected payoff, player 1, '
+            'a, min", "expected": "1", "computed": "1", "passed": true}, '
+            '{"name": "game 2: expected payoff, player 1, b, min", '
+            '"expected": "1/2", "computed": "1/2", "passed": true}, '
+            '{"name": "game 2: best responses, player 1, min", '
+            '"expected": "{a}", "computed": "{a}", "passed": true}, '
+            '{"name": "game 2: capacity equilibrium verdict, min/min", '
+            '"expected": "yes", "computed": "yes", "passed": true}, '
+            '{"name": "game 2: equilibrium verdict, min", "expected": "no", '
+            '"computed": "no", "passed": true}]}\n'
+        ),
+        "",
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("run, fmt", list(PINNED_OUTPUT))
+def test_pinned_output(files, capsys, run, fmt):
+    argv = [token.format(**files) for token in PINNED_RUNS[run].split()]
+    code = main([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    out, err, expected_code = PINNED_OUTPUT[run, fmt]
+    assert captured.out.replace(str(files["dir"]), "DIR") == out
+    assert captured.err == err
+    assert code == expected_code

@@ -111,6 +111,14 @@ class TestCapacityFiles:
         )
         assert cap.density == (1, 0)
 
+    @pytest.mark.parametrize("kind", ["possibility", "necessity"])
+    def test_float_mode_fills_left_out_labels_with_a_float_zero(self, kind):
+        doc = {"space": ["a", "b"], "kind": kind, "density": {"a": "1"}}
+        cap = load_capacity(doc, numeric="float")
+        poss = cap.conjugate if kind == "necessity" else cap
+        assert poss.density == (1.0, 0.0)
+        assert all(isinstance(v, float) for v in poss.density)
+
     def test_unknown_density_label(self):
         with pytest.raises(ValueError, match="unknown labels"):
             load_capacity(
